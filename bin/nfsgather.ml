@@ -3,6 +3,10 @@
 
 open Cmdliner
 module E = Nfsg_experiments.Experiments
+module Rig = Nfsg_experiments.Rig
+module Lc = Nfsg_experiments.Laddis_curve
+module Bs = Nfsg_experiments.Bootstorm
+module Chaos = Nfsg_experiments.Chaos
 module Metrics = Nfsg_stats.Metrics
 
 let print_report r = print_string (Nfsg_stats.Report.to_string r)
@@ -21,8 +25,10 @@ let scheduler_arg =
       ]
   in
   let doc =
-    "Force every simulated spindle onto the given I/O scheduling policy ($(docv) is one of \
-     fifo, elevator or deadline), overriding each experiment's own choice."
+    "Force the spindles of every rig-built world and of the chaos rig onto the given I/O \
+     scheduling policy ($(docv) is one of fifo, elevator or deadline), overriding each \
+     experiment's own choice. The iosched, raid and multivolume experiments build their own \
+     worlds, whose variants are the scheduler or level sweep, and ignore it."
   in
   Arg.(value & opt (some policy) None & info [ "scheduler" ] ~docv:"POLICY" ~doc)
 
@@ -36,9 +42,9 @@ let raid_level_arg =
       ]
   in
   let doc =
-    "Serve every multi-spindle experiment from a redundant array at the given RAID level \
-     ($(docv) is one of raid0, raid1 or raid5) instead of the plain stripe set; the chaos rig \
-     additionally fail-stops and rebuilds one member per fault cycle."
+    "Serve every multi-spindle rig-built experiment from a redundant array at the given RAID \
+     level ($(docv) is one of raid0, raid1 or raid5) instead of the plain stripe set; the \
+     chaos rig additionally fail-stops and rebuilds one member per fault cycle."
   in
   Arg.(value & opt (some level) None & info [ "raid-level" ] ~docv:"LEVEL" ~doc)
 
@@ -103,60 +109,49 @@ let metrics_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
 
-let run_experiment ?metrics ?raid_level quick = function
-  | "table1" -> print_report (E.table1 ~quick ())
-  | "table2" -> print_report (E.table2 ~quick ())
-  | "table3" -> print_report (E.table3 ~quick ())
-  | "table4" -> print_report (E.table4 ~quick ())
-  | "table5" -> print_report (E.table5 ~quick ())
-  | "table6" -> print_report (E.table6 ~quick ())
-  | "figure1" -> print_string (E.figure1 ())
+let run_experiment ?metrics ~quick ~adjust ~curve ~storm ~chaos = function
+  | "table1" -> print_report (E.table1 ~quick ~adjust ())
+  | "table2" -> print_report (E.table2 ~quick ~adjust ())
+  | "table3" -> print_report (E.table3 ~quick ~adjust ())
+  | "table4" -> print_report (E.table4 ~quick ~adjust ())
+  | "table5" -> print_report (E.table5 ~quick ~adjust ())
+  | "table6" -> print_report (E.table6 ~quick ~adjust ())
+  | "figure1" -> print_string (E.figure1 ~adjust ())
   | "figure2" ->
       print_string
-        (E.render_laddis ~title:"Figure 2. SPEC SFS 1.0-style baseline (FDDI)" (E.figure2 ~quick ()))
+        (E.render_laddis ~title:"Figure 2. SPEC SFS 1.0-style baseline (FDDI)"
+           (E.figure2 ~quick ~adjust ()))
   | "figure3" ->
       print_string
         (E.render_laddis ~title:"Figure 3. SPEC SFS 1.0-style baseline (FDDI, Prestoserve)"
-           (E.figure3 ~quick ()))
+           (E.figure3 ~quick ~adjust ()))
   | "ablations" ->
-      print_report (E.ablation_procrastination ~quick ());
+      print_report (E.ablation_procrastination ~quick ~adjust ());
       print_newline ();
-      print_report (E.ablation_reply_order ~quick ());
+      print_report (E.ablation_reply_order ~quick ~adjust ());
       print_newline ();
-      print_report (E.ablation_latency_device ~quick ());
+      print_report (E.ablation_latency_device ~quick ~adjust ());
       print_newline ();
-      print_report (E.ablation_mbuf_hunter ~quick ());
+      print_report (E.ablation_mbuf_hunter ~quick ~adjust ());
       print_newline ();
-      print_report (E.ablation_dumb_pc ~quick ());
+      print_report (E.ablation_dumb_pc ~quick ~adjust ());
       print_newline ();
-      print_report (E.ablation_disk_scheduler ~quick ())
+      print_report (E.ablation_disk_scheduler ~quick ~adjust ())
   | "extensions" ->
-      print_report (E.extension_learned_clients ~quick ());
+      print_report (E.extension_learned_clients ~quick ~adjust ());
       print_newline ();
-      print_report (E.extension_v3 ~quick ());
+      print_report (E.extension_v3 ~quick ~adjust ());
       print_newline ();
-      print_report (E.extension_write_modes ~quick ())
+      print_report (E.extension_write_modes ~quick ~adjust ())
   | "writegather" ->
-      print_string (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick ()))
+      print_string (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick ~adjust ()))
   | "multivolume" -> print_report (Nfsg_experiments.Multivolume.report ~quick ())
   | "laddis-curve" ->
-      let module Lc = Nfsg_experiments.Laddis_curve in
-      (* Quick mode shortens the ladder (unless --sweep-points already
-         did) rather than shrinking the workload: the rungs that do run
-         stay comparable with the committed artifact. *)
-      let sweep =
-        if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep
-      in
-      print_report (Lc.report ~sweep ())
+      let sweep, grid = curve in
+      print_report (Lc.report ~sweep ?grid ~adjust ())
   | "bootstorm" ->
-      let module Bs = Nfsg_experiments.Bootstorm in
-      (* Quick mode shortens the fleet ladder (unless --clients-max
-         already did): the rungs that do run stay comparable with the
-         committed artifact. *)
-      let sweep =
-        if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep
-      in
-      print_report (Bs.report ~sweep ())
+      let sweep, variants = storm in
+      print_report (Bs.report ~sweep ?variants ~adjust ())
   | "iosched-probe" ->
       (* The tail investigation behind the deadline-p99 fix: rerun the
          bench world with journey tracing armed and dump the evidence
@@ -166,13 +161,7 @@ let run_experiment ?metrics ?raid_level quick = function
       print_string (Nfsg_experiments.Iosched.investigate "fifo")
   | "raid" -> print_report (Nfsg_experiments.Raid.report ~quick ())
   | "chaos" ->
-      let module Chaos = Nfsg_experiments.Chaos in
-      let cfg =
-        if quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
-        else Chaos.default
-      in
-      let cfg = { cfg with Chaos.array_level = raid_level } in
-      let r = Chaos.run ?metrics cfg in
+      let r = Chaos.run ?metrics chaos in
       Fmt.pr "%a@." Chaos.pp_result r;
       List.iter print_endline r.Chaos.timeline
   | other -> Printf.eprintf "unknown experiment %S\n" other
@@ -187,42 +176,69 @@ let names =
    the saturating bench world twice and exists for investigations, not
    for the paper-reproduction sweep. *)
 
+(* A flag, when given, wins over the experiment's own value. *)
+let prefer flag own = if Option.is_some flag then flag else own
+
 let run quick scheduler raid_level sweep_points procs_max curve_configs clients_max readahead
     monitor_interval long_op_threshold metrics_json targets =
   let targets = if targets = [] || List.mem "all" targets then names else targets in
   let metrics = Option.map (fun _ -> Metrics.create ()) metrics_json in
-  (* Rig-built worlds report into the shared sink; chaos (which builds
-     its own world) takes the registry as a parameter. *)
-  Nfsg_experiments.Rig.set_metrics_sink metrics;
-  Nfsg_experiments.Rig.set_scheduler_override scheduler;
-  Nfsg_experiments.Rig.set_raid_level_override raid_level;
-  Nfsg_experiments.Laddis_curve.set_sweep_points_override sweep_points;
-  Nfsg_experiments.Laddis_curve.set_procs_max_override procs_max;
-  Nfsg_experiments.Laddis_curve.set_grid_override curve_configs;
-  Nfsg_experiments.Bootstorm.set_clients_max_override clients_max;
-  Nfsg_experiments.Bootstorm.set_readahead_override readahead;
-  Nfsg_experiments.Rig.set_monitor_interval
-    (Option.map Nfsg_sim.Time.of_ms_f monitor_interval);
-  Nfsg_experiments.Rig.set_long_op_threshold
-    (Option.map Nfsg_sim.Time.of_ms_f long_op_threshold);
-  if monitor_interval <> None || long_op_threshold <> None then
-    Nfsg_experiments.Rig.set_monitor_emit (Some print_string);
+  let long_op_threshold = Option.map Nfsg_sim.Time.of_ms_f long_op_threshold in
+  let monitor_interval = Option.map Nfsg_sim.Time.of_ms_f monitor_interval in
+  let emit =
+    if monitor_interval <> None || long_op_threshold <> None then Some print_string else None
+  in
+  let adjust (spec : Rig.spec) =
+    {
+      spec with
+      Rig.disk_scheduler = Option.value scheduler ~default:spec.Rig.disk_scheduler;
+      raid_level = prefer raid_level spec.Rig.raid_level;
+      long_op_threshold = prefer long_op_threshold spec.Rig.long_op_threshold;
+      monitor_interval = prefer monitor_interval spec.Rig.monitor_interval;
+      monitor_emit = prefer emit spec.Rig.monitor_emit;
+    }
+  in
+  (* Quick mode shortens the ladders rather than shrinking the
+     workload, so the rungs that do run stay comparable with the
+     committed artifacts; an explicit cap flag wins over both. *)
+  let curve =
+    let sweep = if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep in
+    ( {
+        sweep with
+        Lc.max_points = Option.value sweep_points ~default:sweep.Lc.max_points;
+        procs_max = Option.value procs_max ~default:sweep.Lc.procs_max;
+      },
+      Option.map Lc.grid_of_labels curve_configs )
+  in
+  let storm =
+    let sweep = if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep in
+    ( { sweep with Bs.clients_max = Option.value clients_max ~default:sweep.Bs.clients_max },
+      Option.map
+        (fun on -> List.filter (fun v -> (v.Bs.readahead <> None) = on) Bs.variants)
+        readahead )
+  in
+  (* The chaos rig builds its own world, so the flags that reach it are
+     set on its config. *)
+  let chaos =
+    let cfg =
+      if quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
+      else Chaos.default
+    in
+    {
+      cfg with
+      Chaos.scheduler = Option.value scheduler ~default:cfg.Chaos.scheduler;
+      array_level = raid_level;
+    }
+  in
+  (* Rig-built worlds report into the shared sink; chaos takes the
+     registry as a value. *)
+  Rig.set_metrics_sink metrics;
   List.iteri
     (fun i name ->
       if i > 0 then print_newline ();
-      run_experiment ?metrics ?raid_level quick name)
+      run_experiment ?metrics ~quick ~adjust ~curve ~storm ~chaos name)
     targets;
-  Nfsg_experiments.Rig.set_monitor_emit None;
-  Nfsg_experiments.Rig.set_long_op_threshold None;
-  Nfsg_experiments.Rig.set_monitor_interval None;
-  Nfsg_experiments.Bootstorm.set_readahead_override None;
-  Nfsg_experiments.Bootstorm.set_clients_max_override None;
-  Nfsg_experiments.Laddis_curve.set_grid_override None;
-  Nfsg_experiments.Laddis_curve.set_procs_max_override None;
-  Nfsg_experiments.Laddis_curve.set_sweep_points_override None;
-  Nfsg_experiments.Rig.set_raid_level_override None;
-  Nfsg_experiments.Rig.set_scheduler_override None;
-  Nfsg_experiments.Rig.set_metrics_sink None;
+  Rig.set_metrics_sink None;
   match (metrics_json, metrics) with
   | Some file, Some m ->
       let oc = open_out file in

@@ -28,12 +28,6 @@ let fresh_tag () =
   incr next_tag;
   !next_tag
 
-let class_name = function
-  | `Sync_write -> "sync_write"
-  | `Gather_flush -> "gather_flush"
-  | `Bg_drain -> "bg_drain"
-  | `Read -> "read"
-
 let write_req ?tag ~class_ ~off data =
   let tag = match tag with Some t -> t | None -> fresh_tag () in
   {
@@ -70,25 +64,12 @@ let fail r exn =
   r.error <- Some exn;
   Ivar.fill r.done_ ()
 
-let item_done = function Req r -> r.done_ | Barrier b -> b.done_
-let item_tag = function Req r -> r.tag | Barrier b -> b.tag
-
 let fail_item item exn =
   match item with Req r -> fail r exn | Barrier b -> Ivar.fill b.done_ ()
 
 let await r =
   Ivar.read r.done_;
   match r.error with Some exn -> raise exn | None -> ()
-
-let await_all reqs =
-  (* Wait for every completion before surfacing the first error, so no
-     request is abandoned mid-flight with its issuer gone. *)
-  List.iter (fun r -> Ivar.read r.done_) reqs;
-  List.iter (fun r -> match r.error with Some exn -> raise exn | None -> ()) reqs
-
-let await_barrier = function
-  | Barrier b -> Ivar.read b.done_
-  | Req _ -> invalid_arg "Io.await_barrier: not a barrier"
 
 (* {1 Blocking shims} *)
 

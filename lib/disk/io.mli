@@ -75,8 +75,6 @@ val read_req : ?tag:int -> ?class_:class_ -> off:int -> len:int -> unit -> req
 
 val barrier : ?tag:int -> unit -> item
 
-val class_name : class_ -> string
-
 val complete : req -> unit
 (** Fill [done_] successfully. Device side only. *)
 
@@ -87,17 +85,8 @@ val fail_item : item -> exn -> unit
 (** {!fail} for requests; barriers complete without an error slot —
     their dependents discover failure from their own requests. *)
 
-val item_done : item -> unit Ivar.t
-val item_tag : item -> int
-
 val await : req -> unit
 (** Block until complete; re-raise the recorded error if any. *)
-
-val await_all : req list -> unit
-(** Wait for {e every} request, then raise the first recorded error
-    (in list order) if any — no request is abandoned in flight. *)
-
-val await_barrier : item -> unit
 
 (** {1 Blocking shims}
 

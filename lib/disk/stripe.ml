@@ -9,12 +9,6 @@ type member_state = Active | Failed | Rebuilding
 
 let level_name = function Raid0 -> "raid0" | Raid1 -> "raid1" | Raid5 -> "raid5"
 
-let level_of_name = function
-  | "raid0" -> Some Raid0
-  | "raid1" -> Some Raid1
-  | "raid5" -> Some Raid5
-  | _ -> None
-
 (* {1 RAID-0 core}
 
    The original striping driver, kept verbatim as the [Raid0] path: the
@@ -1220,9 +1214,6 @@ let fail_member t m =
   note_failure t m
 
 let rebuild_active t = t.rebuild_cursor <> None
-
-let rebuild_progress t =
-  match t.rebuild_cursor with Some (_, cur) -> Some (cur, t.rows) | None -> None
 
 let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
   if member < 0 || member >= t.n then invalid_arg "Stripe.rebuild: no such member";

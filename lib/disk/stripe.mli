@@ -42,7 +42,6 @@ type level = Raid0 | Raid1 | Raid5
 type member_state = Active | Failed | Rebuilding
 
 val level_name : level -> string
-val level_of_name : string -> level option
 
 type t
 (** Management handle for an array. *)
@@ -93,13 +92,11 @@ val rebuild : ?pace:Nfsg_sim.Time.t -> t -> member:int -> unit
 (** Start resilvering a [Failed] member from the survivors (mirror
     copy for RAID-1, XOR of the other members for RAID-5), one chunk
     row at a time, [pace] apart (default 1ms), as [`Bg_drain]-class
-    traffic. Returns immediately; progress via {!rebuild_progress}.
+    traffic. Returns immediately; {!rebuild_active} holds while the
+    copy runs.
     The member becomes [Active] when the copy completes; a crash or a
     survivor failure aborts the copy and leaves it [Failed]. Raises
     [Invalid_argument] if the member is not [Failed], the array is
     crashed, or the survivors cannot source the copy. *)
 
 val rebuild_active : t -> bool
-
-val rebuild_progress : t -> (int * int) option
-(** [(rows done, rows total)] while a rebuild is running. *)

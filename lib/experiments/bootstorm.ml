@@ -60,28 +60,6 @@ let variants =
     { label = "readahead"; readahead = Some Buffer_cache.default_readahead };
   ]
 
-(* {1 Global overrides}
-
-   Same Reset-registered shape as the laddis-curve overrides: the
-   nfsgather flags install them before the target runs and clear them
-   after. *)
-
-let clients_max_override : int option ref = ref None
-let () = Reset.register ~name:"bootstorm.clients_max" (fun () -> clients_max_override := None)
-let set_clients_max_override n = clients_max_override := n
-
-let readahead_override : bool option ref = ref None
-let () = Reset.register ~name:"bootstorm.readahead" (fun () -> readahead_override := None)
-let set_readahead_override b = readahead_override := b
-
-let effective_sweep sweep =
-  match !clients_max_override with Some n -> { sweep with clients_max = n } | None -> sweep
-
-let effective_variants () =
-  match !readahead_override with
-  | None -> variants
-  | Some on -> List.filter (fun v -> (v.readahead <> None) = on) variants
-
 (* {1 One rung: a fleet of [clients] in a fresh world} *)
 
 type point = {
@@ -97,7 +75,7 @@ type point = {
   readahead_wasted : int;
 }
 
-let run_rung sweep ~readahead ~clients =
+let run_rung sweep ~adjust ~readahead ~clients =
   let spec =
     {
       Rig.default_spec with
@@ -106,7 +84,7 @@ let run_rung sweep ~readahead ~clients =
       readahead;
     }
   in
-  let rig = Rig.make spec in
+  let rig = Rig.make (adjust spec) in
   let eng = rig.Rig.eng in
   Rig.run rig (fun () ->
       (* Build the boot file set read-write, then protect the export
@@ -176,13 +154,15 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-let run_variant sweep (v : variant) =
+let run_variant sweep ~adjust (v : variant) =
   (* The one-client rung calibrates the offered scale: a fleet of k
      that scaled perfectly would achieve k x that rate. Walk the whole
      ladder (fleets are finite tasks, not paced loops, so every rung
      terminates) and let knee detection read the curve afterwards. *)
   let points =
-    List.map (fun k -> run_rung sweep ~readahead:v.readahead ~clients:k) (ladder sweep.clients_max)
+    List.map
+      (fun k -> run_rung sweep ~adjust ~readahead:v.readahead ~clients:k)
+      (ladder sweep.clients_max)
   in
   let per_client = match points with p :: _ -> p.achieved | [] -> 0.0 in
   let points =
@@ -202,14 +182,13 @@ let run_variant sweep (v : variant) =
     capacity_clients = List.fold_left (fun a p -> Stdlib.max a p.clients) 0 kept_up;
   }
 
-let run ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  List.map (run_variant sweep) (effective_variants ())
+let run ?(sweep = default_sweep) ?(variants = variants) ?(adjust = Fun.id) () =
+  List.map (run_variant sweep ~adjust) variants
 
 (* {1 Rendering} *)
 
-let report ?(sweep = default_sweep) () =
-  let curves = run ~sweep () in
+let report ?sweep ?variants ?adjust () =
+  let curves = run ?sweep ?variants ?adjust () in
   let report =
     Report.create ~title:"Boot storm: diskless fleet vs shared read-only export"
       ~columns:(List.map (fun c -> c.label) curves)
@@ -232,8 +211,8 @@ let report ?(sweep = default_sweep) () =
 
    The committed artifact CI regenerates and byte-diffs, same contract
    as the other five: one fixed modest sweep regardless of quick/full
-   mode, overrides honoured (the determinism test runs a tiny ladder
-   through them). *)
+   mode; a caller's sweep and variants apply here too (the determinism
+   test runs a tiny ladder through them). *)
 
 let json_of_curves sweep curves =
   let json_point p =
@@ -293,6 +272,5 @@ let json_of_curves sweep curves =
       ("configs", Json.List (List.map json_curve curves));
     ]
 
-let bench_bootstorm ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  json_of_curves sweep (List.map (run_variant sweep) (effective_variants ()))
+let bench_bootstorm ?(sweep = default_sweep) ?variants ?adjust () =
+  json_of_curves sweep (run ~sweep ?variants ?adjust ())

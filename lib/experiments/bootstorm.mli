@@ -26,17 +26,6 @@ type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead opt
 val variants : variant list
 (** The configuration pair: ["no-readahead"] and ["readahead"]. *)
 
-(** {1 Global overrides} (Reset-registered, installed by nfsgather) *)
-
-val set_clients_max_override : int option -> unit
-(** Cap (or restore) the fleet ladder of every subsequent sweep — the
-    nfsgather [--clients-max] flag. *)
-
-val set_readahead_override : bool option -> unit
-(** Restrict every subsequent sweep to one side of the pair
-    ([Some true] = read-ahead on only, [Some false] = off only) — the
-    nfsgather [--readahead] flag. [None] restores both. *)
-
 (** {1 Running} *)
 
 type point = {
@@ -61,10 +50,25 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-val run : ?sweep:sweep -> unit -> curve list
-val report : ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+val run :
+  ?sweep:sweep -> ?variants:variant list -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> curve list
+(** Walk the fleet ladder of every configuration in [variants]
+    (default {!variants}). [adjust] (default identity) is applied to
+    each rung's spec just before its world is built, as in
+    {!Laddis_curve.run}. *)
 
-val bench_bootstorm : ?sweep:sweep -> unit -> Nfsg_stats.Json.t
+val report :
+  ?sweep:sweep ->
+  ?variants:variant list ->
+  ?adjust:(Rig.spec -> Rig.spec) ->
+  unit ->
+  Nfsg_stats.Report.t
+
+val bench_bootstorm :
+  ?sweep:sweep ->
+  ?variants:variant list ->
+  ?adjust:(Rig.spec -> Rig.spec) ->
+  unit ->
+  Nfsg_stats.Json.t
 (** The committed BENCH_bootstorm.json artifact: one fixed modest
-    ladder (same bytes regardless of quick/full), honouring the
-    overrides above. *)
+    ladder (same bytes regardless of quick/full); arguments as {!run}. *)

@@ -35,7 +35,7 @@ let run_cell ~spec ~biods ?(total = Calib.file_size) () =
         mean_batch = Write_layer.mean_batch_size (Server.write_layer rig.Rig.server);
       })
 
-let table ~title ~net ~accel ~spindles ~biods ?total () =
+let table ~title ~net ~accel ~spindles ~biods ?total ?(adjust = Fun.id) () =
   let columns = List.map string_of_int biods in
   let report = Report.create ~title ~columns in
   let section gathering label =
@@ -44,7 +44,7 @@ let table ~title ~net ~accel ~spindles ~biods ?total () =
       List.map
         (fun b ->
           let spec = { Rig.default_spec with Rig.net; accel; spindles; gathering } in
-          run_cell ~spec ~biods:b ?total ())
+          run_cell ~spec:(adjust spec) ~biods:b ?total ())
         biods
     in
     Report.add_row report "client write speed (KB/sec)" (List.map (fun c -> c.client_kb_s) cells);

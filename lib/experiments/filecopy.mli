@@ -22,8 +22,11 @@ val table :
   spindles:int ->
   biods:int list ->
   ?total:int ->
+  ?adjust:(Rig.spec -> Rig.spec) ->
   unit ->
   Nfsg_stats.Report.t
 (** The paper's table shape: a "Without Write Gathering" section and a
     "With Write Gathering" section, each with client speed, server CPU
-    utilisation, disk KB/sec and disk trans/sec rows. *)
+    utilisation, disk KB/sec and disk trans/sec rows. [adjust] (default
+    identity) is applied to every cell's spec before its world is
+    built. *)

@@ -106,47 +106,13 @@ let capacity_rating ?(frac = default_sweep.knee_frac) points =
   | [] -> best achieved_of
   | ok -> best (List.map snd ok)
 
-(* {1 Global overrides}
-
-   Same process-wide shape as Rig's scheduler/raid overrides: the
-   nfsgather flags install them before running the target and clear
-   them after; Reset puts them back for in-process double runs. *)
-
-let sweep_points_override : int option ref = ref None
-
-let () =
-  Reset.register ~name:"laddis_curve.sweep_points" (fun () -> sweep_points_override := None)
-
-let set_sweep_points_override n = sweep_points_override := n
-
-let procs_max_override : int option ref = ref None
-let () = Reset.register ~name:"laddis_curve.procs_max" (fun () -> procs_max_override := None)
-let set_procs_max_override n = procs_max_override := n
-
-let grid_override : string list option ref = ref None
-let () = Reset.register ~name:"laddis_curve.grid" (fun () -> grid_override := None)
-
-let set_grid_override labels =
-  (match labels with
-  | Some ls ->
-      List.iter
-        (fun l ->
-          if not (List.exists (fun v -> v.label = l) grid) then
-            invalid_arg (Printf.sprintf "Laddis_curve: unknown configuration %S" l))
-        ls
-  | None -> ());
-  grid_override := labels
-
-let effective_sweep sweep =
-  let sweep =
-    match !sweep_points_override with Some n -> { sweep with max_points = n } | None -> sweep
-  in
-  match !procs_max_override with Some n -> { sweep with procs_max = n } | None -> sweep
-
-let effective_grid () =
-  match !grid_override with
-  | None -> grid
-  | Some labels -> List.filter (fun v -> List.mem v.label labels) grid
+let grid_of_labels labels =
+  List.iter
+    (fun l ->
+      if not (List.exists (fun v -> v.label = l) grid) then
+        invalid_arg (Printf.sprintf "Laddis_curve: unknown configuration %S" l))
+    labels;
+  List.filter (fun v -> List.mem v.label labels) grid
 
 (* {1 The sweep} *)
 
@@ -158,8 +124,8 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-let run_point sweep (v : variant) ~offered =
-  let rig = Rig.make { v.spec with Rig.nfsds = sweep.nfsds } in
+let run_point sweep ~adjust (v : variant) ~offered =
+  let rig = Rig.make (adjust { v.spec with Rig.nfsds = sweep.nfsds }) in
   let lcfg =
     {
       Laddis.default_config with
@@ -180,12 +146,12 @@ let run_point sweep (v : variant) ~offered =
    evidence) or the cap runs out. Every rung is a fresh world at a
    higher offered rate — the same traffic-shape-per-seed as the other
    rig experiments, just more stations. *)
-let run_variant sweep (v : variant) =
+let run_variant sweep ~adjust (v : variant) =
   let rec walk acc i =
     if i >= sweep.max_points then List.rev acc
     else begin
       let offered = sweep.offered_start +. (sweep.offered_step *. float_of_int i) in
-      let p = run_point sweep v ~offered in
+      let p = run_point sweep ~adjust v ~offered in
       let acc = p :: acc in
       if p.Laddis.achieved < sweep.knee_frac *. offered then List.rev acc
       else walk acc (i + 1)
@@ -201,14 +167,13 @@ let run_variant sweep (v : variant) =
     capacity = capacity_rating ~frac:sweep.knee_frac oa;
   }
 
-let run ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  List.map (run_variant sweep) (effective_grid ())
+let run ?(sweep = default_sweep) ?(grid = grid) ?(adjust = Fun.id) () =
+  List.map (run_variant sweep ~adjust) grid
 
 (* {1 Rendering} *)
 
-let report ?(sweep = default_sweep) () =
-  let curves = run ~sweep () in
+let report ?sweep ?grid ?adjust () =
+  let curves = run ?sweep ?grid ?adjust () in
   let report =
     Report.create ~title:"Capacity curves: offered-load sweep per configuration"
       ~columns:(List.map (fun c -> c.label) curves)
@@ -230,8 +195,8 @@ let report ?(sweep = default_sweep) () =
 
    The committed artifact CI regenerates and byte-diffs. One fixed
    modest sweep regardless of quick/full mode, so every environment
-   produces the same bytes; the overrides above deliberately apply
-   here too (the determinism test runs a tiny sweep through them). *)
+   produces the same bytes; a caller's sweep and grid apply here too
+   (the determinism test runs a tiny sweep through them). *)
 
 let scheduler_name = function
   | Disk.Fifo -> "fifo"
@@ -293,6 +258,5 @@ let json_of_curves sweep curves =
       ("configs", Json.List (List.map json_curve curves));
     ]
 
-let bench_laddis_curve ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  json_of_curves sweep (List.map (run_variant sweep) (effective_grid ()))
+let bench_laddis_curve ?(sweep = default_sweep) ?grid ?adjust () =
+  json_of_curves sweep (run ~sweep ?grid ?adjust ())

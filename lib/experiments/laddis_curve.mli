@@ -42,20 +42,10 @@ val capacity_rating : ?frac:float -> (float * float) list -> float
     (achieved >= frac * offered); falls back to the best achieved
     anywhere when every rung sagged, and 0 for an empty ladder. *)
 
-(** {1 Global overrides} (Reset-registered, installed by nfsgather) *)
-
-val set_sweep_points_override : int option -> unit
-(** Cap (or restore) the ladder length of every subsequent sweep — the
-    nfsgather [--sweep-points] flag. *)
-
-val set_procs_max_override : int option -> unit
-(** Cap (or restore) the load-generator pool of every subsequent sweep
-    — the nfsgather [--procs-max] flag. *)
-
-val set_grid_override : string list option -> unit
-(** Restrict every subsequent sweep to the named grid configurations —
-    the nfsgather [--curve-configs] flag. Raises [Invalid_argument] on
-    an unknown label. *)
+val grid_of_labels : string list -> variant list
+(** The named configurations, in grid order — how the nfsgather
+    [--curve-configs] flag restricts a sweep. Raises
+    [Invalid_argument] on an unknown label. *)
 
 (** {1 Running} *)
 
@@ -67,10 +57,25 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-val run : ?sweep:sweep -> unit -> curve list
-val report : ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+val run :
+  ?sweep:sweep -> ?grid:variant list -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> curve list
+(** Walk the ladder of every configuration in [grid] (default {!grid}).
+    [adjust] (default identity) is applied to each rung's spec just
+    before its world is built, so it wins over the configuration's own
+    choices — how nfsgather's world-wide flags reach the sweep. *)
 
-val bench_laddis_curve : ?sweep:sweep -> unit -> Nfsg_stats.Json.t
+val report :
+  ?sweep:sweep ->
+  ?grid:variant list ->
+  ?adjust:(Rig.spec -> Rig.spec) ->
+  unit ->
+  Nfsg_stats.Report.t
+
+val bench_laddis_curve :
+  ?sweep:sweep ->
+  ?grid:variant list ->
+  ?adjust:(Rig.spec -> Rig.spec) ->
+  unit ->
+  Nfsg_stats.Json.t
 (** The committed BENCH_laddis_curve.json artifact: one fixed modest
-    sweep (same bytes regardless of quick/full), honouring the
-    overrides above. *)
+    sweep (same bytes regardless of quick/full); arguments as {!run}. *)

@@ -23,6 +23,10 @@ type spec = {
   cache_blocks : int option;
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
   disk_scheduler : Disk.scheduler;
+  raid_level : Stripe.level option;
+  long_op_threshold : Time.t option;
+  monitor_interval : Time.t option;
+  monitor_emit : (string -> unit) option;
   write_layer_overrides : Write_layer.config -> Write_layer.config;
 }
 
@@ -38,10 +42,15 @@ let default_spec =
     cache_blocks = None;
     readahead = None;
     disk_scheduler = Disk.Fifo;
+    raid_level = None;
+    long_op_threshold = None;
+    monitor_interval = None;
+    monitor_emit = None;
     write_layer_overrides = (fun c -> c);
   }
 
 type t = {
+  spec : spec;
   eng : Engine.t;
   segment : Segment.t;
   disks : Device.t array;
@@ -59,44 +68,6 @@ let () = Reset.register ~name:"rig.metrics_sink" (fun () -> sink := None)
 let set_metrics_sink m = sink := m
 let metrics_sink () = !sink
 let metrics t = t.metrics
-
-(* Optional global override, same shape as the metrics sink: the
-   nfsgather --scheduler flag forces every rig-built spindle onto one
-   I/O scheduling policy without threading a parameter through every
-   table/figure function. *)
-let scheduler_override : Disk.scheduler option ref = ref None
-let () = Reset.register ~name:"rig.scheduler_override" (fun () -> scheduler_override := None)
-let set_scheduler_override s = scheduler_override := s
-let scheduler_of spec = Option.value !scheduler_override ~default:spec.disk_scheduler
-
-(* Same shape again for the array level: the nfsgather --raid-level
-   flag turns every rig-built multi-spindle stripe set into a RAID-1
-   or RAID-5 array. Cleared by Reset so one CLI run cannot leak its
-   level into the next experiment. *)
-let raid_level_override : Stripe.level option ref = ref None
-let () = Reset.register ~name:"rig.raid_level_override" (fun () -> raid_level_override := None)
-let set_raid_level_override l = raid_level_override := l
-
-(* Live operability hooks, same global-override shape. The monitor
-   interval makes every [run] drive an nfsmon reporter over the rig's
-   registry; the emit callback is how the owning binary gets the output
-   on screen without the rig (library code) printing anything itself.
-   The long-op threshold arms journey tracing in every rig-built
-   server. All cleared by Reset so a CLI run cannot leak into the
-   next experiment or test. *)
-let monitor_interval_override : Time.t option ref = ref None
-let () = Reset.register ~name:"rig.monitor_interval" (fun () -> monitor_interval_override := None)
-let set_monitor_interval i = monitor_interval_override := i
-
-let monitor_emit : (string -> unit) option ref = ref None
-let () = Reset.register ~name:"rig.monitor_emit" (fun () -> monitor_emit := None)
-let set_monitor_emit f = monitor_emit := f
-
-let long_op_threshold_override : Time.t option ref = ref None
-let () =
-  Reset.register ~name:"rig.long_op_threshold" (fun () -> long_op_threshold_override := None)
-
-let set_long_op_threshold thr = long_op_threshold_override := thr
 
 let make spec =
   if spec.volumes <= 0 then invalid_arg "Rig.make: need at least one volume";
@@ -119,12 +90,12 @@ let make spec =
           in
           Disk.create eng ~name ~metrics
             ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-            ~scheduler:(scheduler_of spec) Calib.disk_geometry)
+            ~scheduler:spec.disk_scheduler Calib.disk_geometry)
     in
     let base =
       if spec.spindles = 1 then disks.(0)
       else
-        match !raid_level_override with
+        match spec.raid_level with
         | None -> Stripe.create eng ~chunk:32768 disks
         | Some level -> Stripe.create eng ~metrics ~level ~chunk:32768 disks
     in
@@ -155,7 +126,7 @@ let make spec =
       costs;
       cache_blocks = spec.cache_blocks;
       readahead = spec.readahead;
-      long_op_threshold = !long_op_threshold_override;
+      long_op_threshold = spec.long_op_threshold;
     }
   in
   let server =
@@ -173,7 +144,7 @@ let make spec =
              }))
   in
   (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
-  { eng; segment; disks; device = snd stacks.(0); server; trace; metrics }
+  { spec; eng; segment; disks; device = snd stacks.(0); server; trace; metrics }
 
 let new_client t ?(biods = 4) ?(protocol = Client.V2) addr =
   let sock = Socket.create t.segment ~addr () in
@@ -185,10 +156,10 @@ let roots t = List.map snd (Server.exports t.server)
 
 let run t f =
   let monitor =
-    match !monitor_interval_override with
+    match t.spec.monitor_interval with
     | Some interval ->
         let m =
-          Nfsg_stats.Monitor.create t.eng ~metrics:t.metrics ~interval ?emit:!monitor_emit ()
+          Nfsg_stats.Monitor.create t.eng ~metrics:t.metrics ~interval ?emit:t.spec.monitor_emit ()
         in
         Nfsg_stats.Monitor.start m;
         Some m
@@ -203,7 +174,7 @@ let run t f =
       (* With long-op tracing armed, dump whatever the ring retained
          once the driven load is over — through the same emit callback,
          so the rig itself still never prints. *)
-      (match (!long_op_threshold_override, !monitor_emit) with
+      (match (t.spec.long_op_threshold, t.spec.monitor_emit) with
       | Some _, Some emit ->
           let plane = Server.journeys t.server in
           if Nfsg_stats.Journey.long_op_count plane > 0 then begin

@@ -20,7 +20,23 @@ type spec = {
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
       (** sequential prefetch policy armed in every volume's buffer
           cache; [None] = read-ahead off (the historical behaviour) *)
-  disk_scheduler : Nfsg_disk.Disk.scheduler;
+  disk_scheduler : Nfsg_disk.Disk.scheduler;  (** I/O scheduling policy of every spindle *)
+  raid_level : Nfsg_disk.Stripe.level option;
+      (** redundancy of a multi-spindle stack: [None] is the plain
+          RAID-0 stripe set of the paper's Tables 5-6; [Some l] builds
+          a RAID-1 or RAID-5 array (with its own metrics) instead. The
+          level must fit [spindles] (RAID-1 needs 2 members, RAID-5
+          needs 3); ignored with one spindle *)
+  long_op_threshold : Nfsg_sim.Time.t option;
+      (** arm long-op journey tracing in the server: ops slower
+          end-to-end than this leave a record in its long-op ring,
+          which {!run} dumps through [monitor_emit] after the load *)
+  monitor_interval : Nfsg_sim.Time.t option;
+      (** drive a {!Nfsg_stats.Monitor} over the rig's registry for
+          the duration of each {!run}, one report per interval *)
+  monitor_emit : (string -> unit) option;
+      (** where monitor reports and long-op dumps go (the owning
+          binary's stdout, typically); the rig itself never prints *)
   write_layer_overrides : Nfsg_core.Write_layer.config -> Nfsg_core.Write_layer.config;
       (** applied after the mode/procrastination defaults; identity for
           most experiments, used by the ablations *)
@@ -28,9 +44,10 @@ type spec = {
 
 val default_spec : spec
 (** FDDI, no accel, 1 spindle, 1 volume, 8 nfsds, gathering, no
-    trace. *)
+    trace, Fifo, plain stripe, no long-op tracing, no monitor. *)
 
 type t = {
+  spec : spec;  (** what the world was built from *)
   eng : Nfsg_sim.Engine.t;
   segment : Nfsg_net.Segment.t;
   disks : Nfsg_disk.Device.t array;
@@ -57,35 +74,6 @@ val metrics_sink : unit -> Nfsg_stats.Metrics.t option
 (** The currently installed shared sink, if any — lets an experiment
     that needs per-world isolation (e.g. the writegather bench rows)
     save, clear and restore it. *)
-
-val set_scheduler_override : Nfsg_disk.Disk.scheduler option -> unit
-(** Install (or clear) a process-wide I/O scheduler that every
-    subsequent {!make} uses for its spindles in place of the spec's
-    [disk_scheduler] — how the nfsgather [--scheduler] flag reruns any
-    experiment under Fifo, Elevator or Deadline. *)
-
-val set_raid_level_override : Nfsg_disk.Stripe.level option -> unit
-(** Install (or clear) a process-wide RAID level for every subsequent
-    multi-spindle {!make} — how the nfsgather [--raid-level] flag
-    reruns any striped experiment over a RAID-1 or RAID-5 array
-    instead of the plain RAID-0 stripe set. Specs with one spindle are
-    unaffected; the level must fit the spindle count (RAID-1 needs 2
-    members, RAID-5 needs 3). *)
-
-val set_monitor_interval : Nfsg_sim.Time.t option -> unit
-(** Install (or clear) a process-wide nfsmon interval: every subsequent
-    {!run} drives a {!Nfsg_stats.Monitor} over the rig's registry for
-    the duration of the driven load — how the nfsgather
-    [--monitor-interval] flag watches any experiment live. *)
-
-val set_monitor_emit : (string -> unit) option -> unit
-(** Where each monitor interval's rendered chunk goes (the owning
-    binary's stdout, typically). The rig itself never prints. *)
-
-val set_long_op_threshold : Nfsg_sim.Time.t option -> unit
-(** Install (or clear) a process-wide long-op threshold armed in every
-    subsequent {!make}'s server: ops slower end-to-end than this leave
-    a journey record in the server's long-op ring. *)
 
 val new_client :
   t -> ?biods:int -> ?protocol:Nfsg_nfs.Client.protocol -> string -> Nfsg_nfs.Client.t

@@ -24,7 +24,6 @@ type t = {
   mutable mtimes : int list;  (** newest first *)
 }
 
-let biod_count t = t.nbiods
 let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
 let bytes_written t = t.bytes_written

@@ -33,7 +33,6 @@ type t = {
   rtt_us : Nfsg_stats.Histogram.t;
 }
 
-let calls_sent t = Metrics.value t.sent
 let retransmissions t = Metrics.value t.retrans
 let stale_replies t = Metrics.value t.stale
 

@@ -26,5 +26,3 @@ val upon : 'a t -> ('a -> unit) -> unit
 
 val peek : 'a t -> 'a option
 (** Non-blocking view of the value. *)
-
-val is_filled : 'a t -> bool

@@ -35,9 +35,6 @@ val busy_time : t -> Time.t
 val jobs : t -> int
 (** Number of completed {!use} calls. *)
 
-val queue_length : t -> int
-(** Requests currently waiting for a slot. *)
-
 val in_service : t -> int
 (** Slots currently occupied. *)
 

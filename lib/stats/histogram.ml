@@ -71,15 +71,6 @@ let buckets h =
   done;
   !acc
 
-let merge_into ~into src =
-  if
-    into.least <> src.least || into.growth <> src.growth
-    || Array.length into.counts <> Array.length src.counts
-  then invalid_arg "Histogram.merge_into: shape mismatch";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.n <- into.n + src.n;
-  into.total <- into.total +. src.total
-
 let reset h =
   Array.fill h.counts 0 (Array.length h.counts) 0;
   h.n <- 0;

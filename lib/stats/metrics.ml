@@ -49,7 +49,6 @@ let add c n = c := !c + n
 let value c = !c
 let set g v = g := v
 let set_max g v = if v > !g then g := v
-let gauge_value g = !g
 
 let find t ~ns name = Hashtbl.find_opt t.table (ns, name)
 let find_counter t ~ns name = match find t ~ns name with Some (Counter c) -> Some !c | _ -> None

@@ -37,8 +37,6 @@ val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** Keep the high-watermark: [set_max g v] raises [g] to [v] if larger. *)
 
-val gauge_value : gauge -> float
-
 val span : Nfsg_sim.Engine.t -> Histogram.t -> (unit -> 'a) -> 'a
 (** [span eng h f] runs [f] and records its elapsed {e simulated} time
     in [h], in microseconds — including time blocked on resources,

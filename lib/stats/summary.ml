@@ -25,7 +25,6 @@ let mean s = if s.n = 0 then 0.0 else s.mean_acc
 let min s = s.mn
 let max s = s.mx
 let variance s = if s.n < 2 then 0.0 else s.m2 /. float_of_int s.n
-let stddev s = sqrt (variance s)
 
 let reset s =
   s.n <- 0;

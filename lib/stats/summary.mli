@@ -19,7 +19,6 @@ val max : t -> float
 val variance : t -> float
 (** Population variance; 0 for fewer than two samples. *)
 
-val stddev : t -> float
 val reset : t -> unit
 val merge : t -> t -> t
 (** [merge a b] is a fresh summary equivalent to observing both

@@ -20,7 +20,6 @@ type io_flag = IO_SYNC | IO_DATAONLY | IO_DELAYDATA
 type fsync_flag = FWRITE | FWRITE_METADATA
 
 val vnode_of_inode : Fs.t -> Fs.inode -> vnode
-val fs_of : vnode -> Fs.t
 val inode_of : vnode -> Fs.inode
 val vnode_id : vnode -> int
 (** The inode number: stable identity for "same file" comparisons. *)
@@ -41,24 +40,21 @@ val accelerated : vnode -> bool
     write layer "queries Presto as to acceleration state"). *)
 
 val vop_getattr : vnode -> Fs.attr
-val vop_read : vnode -> off:int -> len:int -> Bytes.t
 
-(** [vop_read_ahead] is {!vop_read} via {!Fs.read_ahead}: feeds the
-    sequential prefetch engine (no-op when read-ahead is off).
-    [stream] identifies the reader for run detection. *)
+(** [vop_read_ahead] reads via {!Fs.read_ahead}: feeds the sequential
+    prefetch engine (a plain read when read-ahead is off). [stream]
+    identifies the reader for run detection. *)
 val vop_read_ahead : vnode -> stream:int -> off:int -> len:int -> Bytes.t
 val vop_write : vnode -> off:int -> Nfsg_rpc.Xdr.view -> flags:io_flag list -> unit
 val vop_fsync : vnode -> flags:fsync_flag list -> unit
 val vop_syncdata : vnode -> off:int -> len:int -> unit
 
-val vop_commit : vnode -> off:int -> len:int -> unit
-(** Gathered flush of data plus metadata as one device submission
-    ({!Fs.commit_range}): data clusters overlap and merge, barriers
-    keep the inode and indirect blocks ordered behind the data. *)
-
 val vop_commit_begin : vnode -> off:int -> len:int -> unit -> unit
-(** {!vop_commit} split for lock hygiene ({!Fs.commit_range_begin}):
-    call under {!lock}; the submission is down when it returns, and
+(** Gathered flush of data plus metadata as one device submission:
+    data clusters overlap and merge, barriers keep the inode and
+    indirect blocks ordered behind the data. Split for lock hygiene
+    ({!Fs.commit_range_begin}): call under {!lock}; the submission is
+    down when it returns, and
     the returned await thunk may park on the device with the vnode
     lock released. With [len = 0] it commits metadata only, the
     unlocked twin of [vop_fsync ~flags:[FWRITE; FWRITE_METADATA]]. *)

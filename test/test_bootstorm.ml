@@ -1,6 +1,6 @@
-(* Boot-storm bench plumbing: the fleet ladder, the override hooks the
-   nfsgather flags use, and double-run byte-determinism of the
-   committed artifact through those overrides. *)
+(* Boot-storm bench plumbing: the fleet ladder, and double-run
+   byte-determinism of the committed artifact through the same
+   restricted sweep the nfsgather flags build. *)
 
 module Bs = Nfsg_experiments.Bootstorm
 module Json = Nfsg_stats.Json
@@ -12,22 +12,19 @@ let test_ladder () =
   Alcotest.(check (list int)) "off-power cap is still walked" [ 1; 2; 4; 6 ] (Bs.ladder 6)
 
 (* The real bench, shrunk to a two-rung ladder on the read-ahead side
-   only. Both overrides are installed after each Reset (which clears
-   them), exercising the same path the nfsgather flags use. *)
+   only, passed as values the way the nfsgather flags pass them. *)
 let run_once () =
   Reset.run_all ();
-  Bs.set_clients_max_override (Some 2);
-  Bs.set_readahead_override (Some true);
-  let json = Bs.bench_bootstorm () in
-  Bs.set_readahead_override None;
-  Bs.set_clients_max_override None;
-  json
+  Bs.bench_bootstorm
+    ~sweep:{ Bs.default_sweep with Bs.clients_max = 2 }
+    ~variants:(List.filter (fun v -> v.Bs.readahead <> None) Bs.variants)
+    ()
 
 let test_double_run () =
   let first = run_once () and second = run_once () in
   Alcotest.(check bool) "byte-identical across Reset.run_all" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  (* And the overrides really took: one config, two rungs. *)
+  (* And the restriction really took: one config, two rungs. *)
   let configs = Option.bind (Json.member "configs" first) Json.to_list in
   let labels =
     match configs with

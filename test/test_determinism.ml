@@ -49,14 +49,39 @@ let run_raid_once () =
 
 let test_double_run_raid () = check_same_bytes (run_raid_once ()) (run_raid_once ())
 
-(* The registry itself: hooks the lint S001 dispositions rely on must
-   actually be registered. *)
+(* The registry itself: exactly the state that must be process-wide.
+   Configuration is passed as values, so it has no hook here. The
+   probes the tests below register are left out. *)
 let test_reset_hooks_present () =
-  let names = Reset.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "engine.current_name"; "rig.metrics_sink"; "server.boot_counter" ]
+  let names =
+    List.filter (fun n -> not (String.starts_with ~prefix:"test." n)) (Reset.names ())
+  in
+  Alcotest.(check (list string)) "registered hooks"
+    [ "engine.current_name"; "io.next_tag"; "rig.metrics_sink"; "server.boot_counter" ]
+    names
+
+(* Configuration passed as a value reaches every world an experiment
+   builds: a long-op threshold set through [adjust] arms journey
+   tracing in each server, and the rig dumps what the ring trapped
+   through the emit callback. Without the threshold, nothing. *)
+let long_op_dump threshold =
+  Reset.run_all ();
+  let out = Buffer.create 1024 in
+  let adjust spec =
+    {
+      spec with
+      Nfsg_experiments.Rig.long_op_threshold = threshold;
+      monitor_emit = Some (Buffer.add_string out);
+    }
+  in
+  ignore (Nfsg_experiments.Experiments.figure1 ~adjust ());
+  Buffer.contents out
+
+let test_adjust_reaches_worlds () =
+  let armed = long_op_dump (Some (Time.us 1)) in
+  Alcotest.(check bool) "long-op records emitted" true
+    (String.starts_with ~prefix:"long-op records:\n" armed);
+  Alcotest.(check string) "nothing emitted without a threshold" "" (long_op_dump None)
 
 let test_reset_duplicate_rejected () =
   Reset.register ~name:"test.determinism.dup" (fun () -> ());
@@ -76,6 +101,7 @@ let suite =
     Alcotest.test_case "iosched bench twice, same bytes" `Quick test_double_run_iosched;
     Alcotest.test_case "raid bench twice, same bytes" `Quick test_double_run_raid;
     Alcotest.test_case "expected reset hooks registered" `Quick test_reset_hooks_present;
+    Alcotest.test_case "adjust reaches every world" `Quick test_adjust_reaches_worlds;
     Alcotest.test_case "duplicate reset hook rejected" `Quick test_reset_duplicate_rejected;
     Alcotest.test_case "run_all fires hooks" `Quick test_reset_runs_hooks;
   ]

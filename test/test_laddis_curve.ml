@@ -35,16 +35,15 @@ let test_procs_for () =
 let test_grid_override_validates () =
   Alcotest.check_raises "unknown label rejected"
     (Invalid_argument "Laddis_curve: unknown configuration \"warp9\"") (fun () ->
-      Lc.set_grid_override (Some [ "warp9" ]))
+      ignore (Lc.grid_of_labels [ "warp9" ]))
 
 (* {1 Double-run byte-determinism}
 
    The real sweep, shrunk: two configurations, two rungs, short
    windows. Same property as the other committed artifacts — two runs
    inside one process with Reset fired in between must render byte for
-   byte the same JSON. The grid/ladder overrides are installed after
-   each Reset (which clears them), exercising the same path the
-   nfsgather flags use. *)
+   byte the same JSON. The grid restriction and ladder caps are passed
+   as values, the same path the nfsgather flags use. *)
 
 let tiny_sweep =
   {
@@ -58,16 +57,13 @@ let tiny_sweep =
 
 let run_once () =
   Reset.run_all ();
-  Lc.set_grid_override (Some [ "baseline"; "gather" ]);
-  let json = Lc.bench_laddis_curve ~sweep:tiny_sweep () in
-  Lc.set_grid_override None;
-  json
+  Lc.bench_laddis_curve ~sweep:tiny_sweep ~grid:(Lc.grid_of_labels [ "baseline"; "gather" ]) ()
 
 let test_double_run () =
   let first = run_once () and second = run_once () in
   Alcotest.(check bool) "byte-identical across Reset.run_all" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  (* And the override really restricted the grid. *)
+  (* And the restriction really took. *)
   let labels =
     match Option.bind (Json.member "configs" first) Json.to_list with
     | Some configs -> List.filter_map (fun c -> Option.bind (Json.member "config" c) Json.to_str) configs
