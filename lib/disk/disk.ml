@@ -79,6 +79,45 @@ let make_inst metrics ~name =
    only the items of its own batch. *)
 type pitem = { it : Io.item; enq : Time.t; batch : int }
 
+(* The platter is paged: a 64 KiB page is allocated on its first write,
+   and a page never written reads as zeros. A world pays for the bytes
+   it stores, not for the drive's capacity. *)
+let page_size = 64 * 1024
+
+type platter = { pages : Bytes.t array (* [Bytes.empty] until first written *); size : int }
+
+let platter_create size =
+  { pages = Array.make ((size + page_size - 1) / page_size) Bytes.empty; size }
+
+(* Walk [off, off+len) page by page: [f page page_off pos n] covers [n]
+   bytes at [page_off] within [page], which is [pos] bytes into the
+   range. *)
+let each_page ~off ~len f =
+  let rec go pos =
+    if pos < len then begin
+      let a = off + pos in
+      let page = a / page_size and page_off = a mod page_size in
+      let n = Stdlib.min (len - pos) (page_size - page_off) in
+      f page page_off pos n;
+      go (pos + n)
+    end
+  in
+  go 0
+
+(* Store all of [src] at [off]. *)
+let platter_write p ~off src =
+  each_page ~off ~len:(Bytes.length src) (fun page page_off pos n ->
+      if p.pages.(page) == Bytes.empty then
+        p.pages.(page) <-
+          Bytes.make (Stdlib.min page_size (p.size - (page * page_size))) '\000';
+      Bytes.blit src pos p.pages.(page) page_off n)
+
+(* Fill all of [dst] from [off]. *)
+let platter_read p ~off dst =
+  each_page ~off ~len:(Bytes.length dst) (fun page page_off pos n ->
+      let b = p.pages.(page) in
+      if b == Bytes.empty then Bytes.fill dst pos n '\000' else Bytes.blit b page_off dst pos n)
+
 type state = {
   eng : Engine.t;
   g : geometry;
@@ -86,7 +125,7 @@ type state = {
   deadline : Time.t;  (** max tolerated queue wait before promotion *)
   merge : bool;
   merge_limit : int;  (** upper bound on a coalesced transaction, bytes *)
-  platter : Bytes.t;
+  platter : platter;
   mutable pending : pitem list;  (** arrival order (newest last) *)
   mutable next_batch : int;
   arrived : Condition.t;
@@ -267,8 +306,8 @@ let service st chain =
     List.iter
       (fun (r, _) ->
         match r.Io.op with
-        | Io.Write -> Bytes.blit r.Io.buf 0 st.platter r.Io.off r.Io.len
-        | Io.Read -> Bytes.blit st.platter r.Io.off r.Io.buf 0 r.Io.len)
+        | Io.Write -> platter_write st.platter ~off:r.Io.off r.Io.buf
+        | Io.Read -> platter_read st.platter ~off:r.Io.off r.Io.buf)
       chain;
     account st ~len:total ~busy:d;
     (match first.Io.op with
@@ -323,7 +362,7 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
       deadline;
       merge;
       merge_limit;
-      platter = Bytes.make g.capacity '\000';
+      platter = platter_create g.capacity;
       pending = [];
       next_batch = 0;
       arrived = Condition.create ();
@@ -380,9 +419,11 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     stable_read =
       (fun ~off ~len ->
         check_bounds st ~off ~len;
-        Bytes.sub st.platter off len);
+        let buf = Bytes.create len in
+        platter_read st.platter ~off buf;
+        buf);
     stable_write =
       (fun ~off data ->
         check_bounds st ~off ~len:(Bytes.length data);
-        Bytes.blit data 0 st.platter off (Bytes.length data));
+        platter_write st.platter ~off data);
   }

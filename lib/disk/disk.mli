@@ -41,8 +41,8 @@ type geometry = {
 
 val rz26 : ?capacity:int -> unit -> geometry
 (** RZ26-inspired default geometry (5400 RPM, ~2.6 MB/s media rate).
-    Default [capacity] is 96 MiB — big enough for every experiment,
-    small enough to hold in RAM. *)
+    Default [capacity] is 96 MiB — big enough for every experiment.
+    Capacity costs no memory by itself: see {!create}. *)
 
 type scheduler = Fifo | Elevator | Deadline
 
@@ -57,7 +57,10 @@ val create :
   ?merge_limit:int ->
   geometry ->
   Device.t
-(** A fresh zero-filled disk served by a spawned daemon process.
+(** A fresh zero-filled disk served by a spawned daemon process. The
+    platter is paged in 64 KiB pages allocated on first write; a page
+    never written reads as zeros, so a world's memory grows with the
+    bytes it stores, not with the drive's capacity.
     [on_transaction] fires at each physical transaction completion
     (once per merged chain), letting the caller account
     driver/interrupt CPU cost. [deadline] (default 30 ms) is the

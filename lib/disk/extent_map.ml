@@ -1,95 +1,159 @@
 module IntMap = Map.Make (Int)
 
-type t = { mutable extents : Bytes.t IntMap.t (* start offset -> data *) }
+(* A window onto bytes the map owns. The bytes are never written after
+   the insert that copied them in, so trimming a slice is a new window,
+   not a copy. *)
+type slice = { buf : Bytes.t; pos : int; n : int }
 
-let create () = { extents = IntMap.empty }
+(* A coalesced extent: [size] bytes, the concatenation of its slices in
+   offset order. Appending an 8 KB write to a 1 MB extent adds one
+   slice instead of copying the megabyte. *)
+type extent = { size : int; slices : slice list }
+
+type t = { mutable extents : extent IntMap.t (* start offset -> extent *); mutable total : int }
+
+let create () = { extents = IntMap.empty; total = 0 }
 let is_empty m = IntMap.is_empty m.extents
-let total_bytes m = IntMap.fold (fun _ d acc -> acc + Bytes.length d) m.extents 0
+let total_bytes m = m.total
 let extent_count m = IntMap.cardinal m.extents
 
-let end_of off data = off + Bytes.length data
+let end_of s e = s + e.size
 
-(* Extents overlapping or touching [off, off+len): those starting before
-   the end of the range whose own end reaches at least [off]. *)
+(* The slices covering [from, from+len) of an extent's bytes, trimmed
+   to that window. *)
+let sub_slices slices ~from ~len =
+  let rec go at acc = function
+    | [] -> List.rev acc
+    | sl :: rest ->
+        let lo = Stdlib.max from at and hi = Stdlib.min (from + len) (at + sl.n) in
+        if at >= from + len then List.rev acc
+        else if hi > lo then
+          go (at + sl.n) ({ sl with pos = sl.pos + lo - at; n = hi - lo } :: acc) rest
+        else go (at + sl.n) acc rest
+  in
+  go 0 [] slices
+
+(* Copy [from, from+len) of an extent's bytes into [dst] at [dst_off]. *)
+let blit_slices slices ~from dst ~dst_off ~len =
+  ignore
+    (List.fold_left
+       (fun at sl ->
+         let lo = Stdlib.max from at and hi = Stdlib.min (from + len) (at + sl.n) in
+         if hi > lo then Bytes.blit sl.buf (sl.pos + lo - at) dst (dst_off + lo - from) (hi - lo);
+         at + sl.n)
+       0 slices)
+
+let contents e =
+  let b = Bytes.create e.size in
+  blit_slices e.slices ~from:0 b ~dst_off:0 ~len:e.size;
+  b
+
+let add m s e =
+  m.extents <- IntMap.add s e m.extents;
+  m.total <- m.total + e.size
+
+let drop m s e =
+  m.extents <- IntMap.remove s m.extents;
+  m.total <- m.total - e.size
+
+(* [e]'s bytes [from, from+len) as an extent of their own. *)
+let trim e ~from ~len =
+  if from = 0 && len = e.size then e else { size = len; slices = sub_slices e.slices ~from ~len }
+
+(* Extents overlapping or touching [off, off+len), in offset order: the
+   last one starting at or before [off] if it reaches [off], then every
+   one starting inside the range. *)
 let touching m ~off ~len =
-  IntMap.fold
-    (fun start data acc ->
-      if start <= off + len && end_of start data >= off then (start, data) :: acc else acc)
-    m.extents []
-  |> List.rev
+  let first =
+    match IntMap.find_last_opt (fun s -> s <= off) m.extents with
+    | Some (s, e) when end_of s e >= off -> [ (s, e) ]
+    | Some _ | None -> []
+  in
+  let rest =
+    IntMap.to_seq_from (off + 1) m.extents
+    |> Seq.take_while (fun (s, _) -> s <= off + len)
+    |> List.of_seq
+  in
+  first @ rest
 
 let remove_range m ~off ~len =
-  if len > 0 then begin
-    let overlapped =
-      List.filter (fun (s, d) -> s < off + len && end_of s d > off) (touching m ~off ~len)
-    in
+  if len > 0 then
     List.iter
-      (fun (s, d) ->
-        m.extents <- IntMap.remove s m.extents;
-        (* Put back any prefix before the removed range. *)
-        if s < off then begin
-          let keep = Bytes.sub d 0 (off - s) in
-          m.extents <- IntMap.add s keep m.extents
-        end;
-        (* Put back any suffix after the removed range. *)
-        let e = end_of s d in
-        if e > off + len then begin
-          let keep = Bytes.sub d (off + len - s) (e - off - len) in
-          m.extents <- IntMap.add (off + len) keep m.extents
+      (fun (s, e) ->
+        let e_end = end_of s e in
+        if s < off + len && e_end > off then begin
+          drop m s e;
+          (* Put back any prefix before the removed range. *)
+          if s < off then add m s (trim e ~from:0 ~len:(off - s));
+          (* Put back any suffix after the removed range. *)
+          if e_end > off + len then
+            add m (off + len) (trim e ~from:(off + len - s) ~len:(e_end - off - len))
         end)
-      overlapped
-  end
+      (touching m ~off ~len)
 
 let insert m ~off data =
   let len = Bytes.length data in
   if len > 0 then begin
-    (* Collect everything the new extent overlaps or touches, to merge. *)
+    (* Everything the new bytes overlap or touch merges into one
+       extent; only the first neighbour can start before them and only
+       the last can end after them. New data wins over old overlapped
+       bytes. *)
     let neighbours = touching m ~off ~len in
-    let new_start = List.fold_left (fun a (s, _) -> Stdlib.min a s) off neighbours in
-    let new_end = List.fold_left (fun a (s, d) -> Stdlib.max a (end_of s d)) (off + len) neighbours in
-    let merged = Bytes.create (new_end - new_start) in
-    List.iter
-      (fun (s, d) ->
-        Bytes.blit d 0 merged (s - new_start) (Bytes.length d);
-        m.extents <- IntMap.remove s m.extents)
-      neighbours;
-    (* New data wins over old overlapped bytes. *)
-    Bytes.blit data 0 merged (off - new_start) len;
-    m.extents <- IntMap.add new_start merged m.extents
+    List.iter (fun (s, e) -> drop m s e) neighbours;
+    let new_slice = { buf = Bytes.copy data; pos = 0; n = len } in
+    let start, before =
+      match neighbours with
+      | (s, e) :: _ when s < off -> (s, (trim e ~from:0 ~len:(off - s)).slices)
+      | _ -> (off, [])
+    in
+    let stop, after =
+      match List.rev neighbours with
+      | (s, e) :: _ when end_of s e > off + len ->
+          (end_of s e, (trim e ~from:(off + len - s) ~len:(end_of s e - off - len)).slices)
+      | _ -> (off + len, [])
+    in
+    add m start { size = stop - start; slices = before @ (new_slice :: after) }
   end
 
 let apply m ~off buf =
   let len = Bytes.length buf in
   List.iter
-    (fun (s, d) ->
+    (fun (s, e) ->
       let copy_start = Stdlib.max s off in
-      let copy_end = Stdlib.min (end_of s d) (off + len) in
+      let copy_end = Stdlib.min (end_of s e) (off + len) in
       if copy_end > copy_start then
-        Bytes.blit d (copy_start - s) buf (copy_start - off) (copy_end - copy_start))
+        blit_slices e.slices ~from:(copy_start - s) buf ~dst_off:(copy_start - off)
+          ~len:(copy_end - copy_start))
     (touching m ~off ~len)
 
 let covers m ~off ~len =
-  if len = 0 then true
-  else
-    (* Because extents are coalesced, full coverage means one extent
-       spans the whole range. *)
-    IntMap.exists (fun s d -> s <= off && end_of s d >= off + len) m.extents
+  len = 0
+  ||
+  (* Because extents are coalesced, full coverage means one extent
+     spans the whole range. *)
+  match IntMap.find_last_opt (fun s -> s <= off) m.extents with
+  | Some (s, e) -> end_of s e >= off + len
+  | None -> false
 
-let take_first m ~max =
-  match IntMap.min_binding_opt m.extents with
-  | None -> None
-  | Some (s, d) ->
-      if Bytes.length d <= max then begin
-        m.extents <- IntMap.remove s m.extents;
-        Some (s, d)
-      end
-      else begin
-        let head = Bytes.sub d 0 max in
-        let tail = Bytes.sub d max (Bytes.length d - max) in
-        m.extents <- IntMap.remove s m.extents;
-        m.extents <- IntMap.add (s + max) tail m.extents;
-        Some (s, head)
-      end
+(* Bytes leaving the map. A lone slice spanning its whole buffer is
+   handed over as is: slices of one buffer cover disjoint windows of
+   it, so no other slice can share a buffer one slice spans. *)
+let release e =
+  match e.slices with
+  | [ { buf; pos = 0; n } ] when n = Bytes.length buf -> buf
+  | _ -> contents e
+
+(* Remove the first [max] bytes of the extent at [s], copying out at
+   most those. *)
+let take m (s, e) ~max =
+  drop m s e;
+  if e.size <= max then Some (s, release e)
+  else begin
+    add m (s + max) (trim e ~from:max ~len:(e.size - max));
+    Some (s, release (trim e ~from:0 ~len:max))
+  end
+
+let take_first m ~max = Option.bind (IntMap.min_binding_opt m.extents) (take m ~max)
 
 let take_after m ~off ~max =
   let candidate =
@@ -97,20 +161,6 @@ let take_after m ~off ~max =
     | Some binding -> Some binding
     | None -> IntMap.min_binding_opt m.extents
   in
-  match candidate with
-  | None -> None
-  | Some (s, d) ->
-      if Bytes.length d <= max then begin
-        m.extents <- IntMap.remove s m.extents;
-        Some (s, d)
-      end
-      else begin
-        let head = Bytes.sub d 0 max in
-        let tail = Bytes.sub d max (Bytes.length d - max) in
-        m.extents <- IntMap.remove s m.extents;
-        m.extents <- IntMap.add (s + max) tail m.extents;
-        Some (s, head)
-      end
+  Option.bind candidate (take m ~max)
 
-let iter f m = IntMap.iter f m.extents
-let fold f m acc = IntMap.fold f m.extents acc
+let iter f m = IntMap.iter (fun s e -> f s (contents e)) m.extents

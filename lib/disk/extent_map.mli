@@ -6,7 +6,11 @@
     overwrites any overlapped bytes and coalesces with adjacent
     extents, so a sequential stream of 8 KB writes collapses into one
     big extent — which is exactly what makes the flusher's clustering
-    work. *)
+    work.
+
+    Each extent is stored as a list of immutable slices, so an insert
+    copies only its own bytes and never re-copies the extent it joins;
+    {!take_first}/{!take_after} copy out only the bytes they return. *)
 
 type t
 
@@ -14,7 +18,7 @@ val create : unit -> t
 val is_empty : t -> bool
 
 val total_bytes : t -> int
-(** Sum of extent lengths. *)
+(** Sum of extent lengths, kept as a running count: O(1). *)
 
 val extent_count : t -> int
 
@@ -46,6 +50,5 @@ val remove_range : t -> off:int -> len:int -> unit
     overlaps. *)
 
 val iter : (int -> Bytes.t -> unit) -> t -> unit
-(** Iterate extents in offset order. Do not mutate during iteration. *)
-
-val fold : (int -> Bytes.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Iterate extents in offset order, each as a fresh copy of its bytes.
+    Do not mutate the map during iteration. *)

@@ -174,15 +174,15 @@ let spawn_flusher st =
 let overlay st ~off buf =
   (match st.in_flight with
   | Some (ioff, idata) ->
-      let tmp = Extent_map.create () in
-      Extent_map.insert tmp ~off:ioff idata;
-      Extent_map.apply tmp ~off buf
+      let lo = Stdlib.max off ioff in
+      let hi = Stdlib.min (off + Bytes.length buf) (ioff + Bytes.length idata) in
+      if hi > lo then Bytes.blit idata (lo - ioff) buf (lo - off) (hi - lo)
   | None -> ());
   Extent_map.apply st.dirty ~off buf
 
 (* Weak registry: lets {!dirty_bytes} find the internal state of a
-   device without pinning retired simulation worlds (and their 96 MB
-   platters) in memory forever. *)
+   device without pinning retired simulation worlds (their dirty maps
+   and backing devices) in memory forever. *)
 (* nfslint: allow S001 weak ephemeron registry whose entries die with their devices; emptying it would orphan NVRAM devices that are still live *)
 let registry : (Device.t, state) Ephemeron.K1.t list ref = ref []
 
@@ -277,7 +277,7 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
         let d = copy_time len in
         cpu_charge d;
         Engine.delay d;
-        Extent_map.insert st.dirty ~off (Bytes.copy data);
+        Extent_map.insert st.dirty ~off data;
         Nfsg_stats.Metrics.incr st.inst.m_accepted;
         note_dirty st;
         Condition.signal st.more

@@ -107,14 +107,7 @@ let laddis_point ~adjust ~accel ~gathering ~offered ~cfg =
 
 let laddis_curve ~adjust ~accel ~gathering ~label ~loads ~cfg =
   let points =
-    List.map
-      (fun offered ->
-        let p = laddis_point ~adjust ~accel ~gathering ~offered ~cfg in
-        (* Each point retires a whole simulated world (~200 MB of
-           platters); reclaim it before building the next. *)
-        Gc.full_major ();
-        p)
-      loads
+    List.map (fun offered -> laddis_point ~adjust ~accel ~gathering ~offered ~cfg) loads
   in
   let peak = List.fold_left (fun acc p -> if p.achieved > acc.achieved then p else acc)
       { offered = 0.; achieved = 0.; avg_latency_ms = 0. } points
@@ -461,7 +454,6 @@ let bench_writegather ?(quick = false) ?(adjust = Fun.id) ?total () =
   Rig.set_metrics_sink None;
   Fun.protect ~finally:(fun () -> Rig.set_metrics_sink saved_sink) @@ fun () ->
   let row ~mode ~gathering ~accel =
-    Gc.full_major ();
     let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; accel } in
     let rig = Rig.make (adjust spec) in
     let m = Rig.metrics rig in

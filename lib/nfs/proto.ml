@@ -202,6 +202,9 @@ let put_fattr enc a =
   put_timeval enc a.mtime;
   put_timeval enc a.ctime
 
+(* Eleven words plus three two-word timevals. *)
+let fattr_bytes = 68
+
 let get_fattr dec =
   let ftype = ftype_of_int (Xdr.Dec.enum dec) in
   let mode = Xdr.Dec.uint32 dec in
@@ -297,8 +300,17 @@ let proc_of_args = function
   | Write3 _ -> proc_write3
   | Commit _ -> proc_commit
 
+(* Encoders carrying a data payload are sized exactly, so the payload
+   is copied once, into a buffer {!Xdr.Enc.to_bytes} returns as is;
+   small fixed-shape messages keep the default hint. *)
 let encode_args args =
-  let enc = Xdr.Enc.create () in
+  let size_hint =
+    match args with
+    | Write { data; _ } -> fh_bytes + 12 + Xdr.opaque_size (Xdr.view_length data)
+    | Write3 { data; _ } -> fh_bytes + 16 + Xdr.opaque_size (Xdr.view_length data)
+    | _ -> 256
+  in
+  let enc = Xdr.Enc.create ~size_hint () in
   (match args with
   | Null -> ()
   | Getattr fh | Statfs fh | Readlink fh -> put_fh enc fh
@@ -448,7 +460,12 @@ let put_status enc st = Xdr.Enc.enum enc (status_to_int st)
 let get_status dec = status_of_int (Xdr.Dec.enum dec)
 
 let encode_res res =
-  let enc = Xdr.Enc.create () in
+  let size_hint =
+    match res with
+    | RRead (Ok (_, data)) -> 4 + fattr_bytes + Xdr.opaque_size (Bytes.length data)
+    | _ -> 256
+  in
+  let enc = Xdr.Enc.create ~size_hint () in
   (match res with
   | RNull -> ()
   | RStatus st -> put_status enc st

@@ -1,4 +1,5 @@
 let pad4 n = (4 - (n mod 4)) mod 4
+let opaque_size n = 4 + n + pad4 n
 
 exception Decode_error of { what : string; need : int; pos : int; have : int }
 
@@ -46,52 +47,82 @@ let view_equal a b =
   eq 0
 
 module Enc = struct
-  type t = Buffer.t
+  (* A growable byte writer. Encoders are sized from their payload, so
+     the common case fills [buf] exactly and {!to_bytes} hands it over
+     without a copy; once handed over, the next append finds the buffer
+     full and moves to a fresh one, never writing into the returned
+     bytes. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create ?(size_hint = 256) () = Buffer.create size_hint
+  let create ?(size_hint = 256) () = { buf = Bytes.create (Stdlib.max 0 size_hint); len = 0 }
+
+  (* Make room for [n] more bytes and return where they start. This may
+     replace [t.buf], so read [t.buf] only after it returns. *)
+  let reserve t n =
+    let at = t.len in
+    if at + n > Bytes.length t.buf then begin
+      let grown = Bytes.create (Stdlib.max (at + n) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 grown 0 at;
+      t.buf <- grown
+    end;
+    t.len <- at + n;
+    at
+
+  let put_int32 t v =
+    let at = reserve t 4 in
+    Bytes.set_int32_be t.buf at (Int32.of_int v)
 
   let uint32 t v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg (Printf.sprintf "Xdr.uint32: %d" v);
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int v);
-    Buffer.add_bytes t b
+    put_int32 t v
 
   let int32 t v =
     if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
       invalid_arg (Printf.sprintf "Xdr.int32: %d" v);
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int v);
-    Buffer.add_bytes t b
+    put_int32 t v
 
   let uint64 t v =
     if v < 0 then invalid_arg (Printf.sprintf "Xdr.uint64: %d" v);
-    let b = Bytes.create 8 in
-    Bytes.set_int64_be b 0 (Int64.of_int v);
-    Buffer.add_bytes t b
+    let at = reserve t 8 in
+    Bytes.set_int64_be t.buf at (Int64.of_int v)
 
   let bool t v = uint32 t (if v then 1 else 0)
   let enum t v = int32 t v
 
+  let raw_sub t src pos n =
+    let at = reserve t n in
+    Bytes.blit src pos t.buf at n
+
+  let pad t n =
+    let p = pad4 n in
+    let at = reserve t p in
+    Bytes.fill t.buf at p '\000'
+
   let opaque_fixed t data =
-    Buffer.add_bytes t data;
-    Buffer.add_string t (String.make (pad4 (Bytes.length data)) '\000')
+    raw_sub t data 0 (Bytes.length data);
+    pad t (Bytes.length data)
 
   let opaque t data =
     uint32 t (Bytes.length data);
     opaque_fixed t data
 
-  let string t s = opaque t (Bytes.of_string s)
-  let raw t data = Buffer.add_bytes t data
+  let string t s =
+    let n = String.length s in
+    uint32 t n;
+    let at = reserve t n in
+    Bytes.blit_string s 0 t.buf at n;
+    pad t n
 
-  let raw_view t v = Buffer.add_subbytes t v.view_buf v.view_pos v.view_len
+  let raw t data = raw_sub t data 0 (Bytes.length data)
+  let raw_view t v = raw_sub t v.view_buf v.view_pos v.view_len
 
   let opaque_view t v =
     uint32 t v.view_len;
     raw_view t v;
-    Buffer.add_string t (String.make (pad4 v.view_len) '\000')
+    pad t v.view_len
 
-  let to_bytes t = Buffer.to_bytes t
-  let length t = Buffer.length t
+  let to_bytes t = if t.len = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 t.len
+  let length t = t.len
 end
 
 module Dec = struct

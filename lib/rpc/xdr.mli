@@ -42,10 +42,19 @@ val view_equal : view -> view -> bool
     whole backing buffers and window offsets, which is almost never
     what a test means. *)
 
+val opaque_size : int -> int
+(** Encoded size of an [n]-byte variable-length opaque: length word,
+    bytes and padding. For sizing encoders from their payload. *)
+
 module Enc : sig
   type t
+  (** A growable byte writer. *)
 
   val create : ?size_hint:int -> unit -> t
+  (** [size_hint] (default 256) is the initial capacity. An encoder
+      sized exactly to its output never grows and never copies on
+      {!to_bytes}. *)
+
   val uint32 : t -> int -> unit
   (** Raises [Invalid_argument] outside [0, 2^32). *)
 
@@ -73,6 +82,10 @@ module Enc : sig
   (** {!raw} from a view, copying only into the output buffer. *)
 
   val to_bytes : t -> Bytes.t
+  (** The bytes written so far. When they fill the buffer exactly, the
+      buffer itself is returned; either way, later appends to the
+      encoder never change the returned bytes. *)
+
   val length : t -> int
 end
 

@@ -176,6 +176,84 @@ let test_seek_time_monotone () =
   if not (t1 < t50 && t50 < t99) then Alcotest.fail "seek time not monotone";
   if t1 < g.Disk.seek_single then Alcotest.fail "short seek below track-to-track time"
 
+(* {1 Sparse platter}
+
+   The platter is paged (64 KiB pages allocated on first write), which
+   must be invisible: never-written bytes read as zeros, requests that
+   straddle a page boundary round-trip, and a crash still drops a
+   transaction whole. *)
+
+let page = 64 * 1024
+let zeros n = Bytes.make n '\000'
+let pattern n seed = Bytes.init n (fun i -> Char.chr (33 + ((i * 7) + seed) mod 90))
+
+let test_unwritten_reads_zero () =
+  with_disk (fun _eng dev ->
+      (* Write the tail of page 0 only, so one read spans a written and a
+         never-written page. *)
+      let tail = pattern 4096 1 in
+      dev.Device.write ~off:(page - 4096) tail;
+      Alcotest.(check bytes) "scheduled read, never-written page" (zeros 8192)
+        (dev.Device.read ~off:(5 * page) ~len:8192);
+      Alcotest.(check bytes) "stable_read, never-written page" (zeros 8192)
+        (dev.Device.stable_read ~off:(5 * page) ~len:8192);
+      let want = Bytes.cat tail (zeros 4096) in
+      Alcotest.(check bytes) "scheduled read, written then unwritten" want
+        (dev.Device.read ~off:(page - 4096) ~len:8192);
+      Alcotest.(check bytes) "stable_read, written then unwritten" want
+        (dev.Device.stable_read ~off:(page - 4096) ~len:8192))
+
+let test_page_straddle_roundtrip () =
+  with_disk (fun _eng dev ->
+      (* 24 KiB across the page 0/1 boundary through the scheduler. *)
+      let a = pattern (24 * 1024) 2 and a_off = page - 8192 in
+      dev.Device.write ~off:a_off a;
+      Alcotest.(check bytes) "scheduled write, scheduled read" a
+        (dev.Device.read ~off:a_off ~len:(Bytes.length a));
+      Alcotest.(check bytes) "scheduled write, stable_read" a
+        (dev.Device.stable_read ~off:a_off ~len:(Bytes.length a));
+      (* An unaligned span across three pages, bypassing the queue. *)
+      let b = pattern ((2 * page) + 300) 3 and b_off = (3 * page) - 100 in
+      dev.Device.stable_write ~off:b_off b;
+      Alcotest.(check bytes) "stable_write, stable_read" b
+        (dev.Device.stable_read ~off:b_off ~len:(Bytes.length b));
+      Alcotest.(check bytes) "stable_write, scheduled read" b
+        (dev.Device.read ~off:b_off ~len:(Bytes.length b));
+      (* The neighbours of both spans are untouched. *)
+      Alcotest.(check bytes) "before the first span" (zeros 64) (dev.Device.stable_read ~off:(a_off - 64) ~len:64);
+      Alcotest.(check bytes) "after the second span" (zeros 64)
+        (dev.Device.stable_read ~off:(b_off + Bytes.length b) ~len:64))
+
+let test_crash_mid_transaction_keeps_old () =
+  let eng = Engine.create () in
+  let dev = Disk.create eng small_geometry in
+  (* An 8 KiB range across a page boundary, holding known bytes. *)
+  let off = page - 4096 and old = pattern 8192 4 in
+  dev.Device.stable_write ~off old;
+  let completed = ref false in
+  Engine.spawn eng (fun () ->
+      dev.Device.write ~off (pattern 8192 5);
+      completed := true);
+  (* The overwrite is in service (command overhead alone is 500 us). *)
+  Engine.schedule eng ~after:(Time.us 100) (fun () -> dev.Device.crash ());
+  Engine.run eng;
+  Alcotest.(check bool) "overwrite never completed" false !completed;
+  Alcotest.(check bytes) "stable_read sees the old bytes" old (dev.Device.stable_read ~off ~len:8192);
+  dev.Device.recover ();
+  let back = ref None in
+  Engine.spawn eng (fun () -> back := Some (dev.Device.read ~off ~len:8192));
+  Engine.run eng;
+  Alcotest.(check (option bytes)) "scheduled read after recovery sees the old bytes" (Some old) !back
+
+let test_create_allocates_little () =
+  (* A dense platter (96 MiB for this geometry) would trip this at
+     once. *)
+  let eng = Engine.create () in
+  let _dev, bytes =
+    Testbed.allocated_bytes (fun () -> Disk.create eng Nfsg_experiments.Calib.disk_geometry)
+  in
+  if bytes >= 1048576.0 then Alcotest.failf "Disk.create allocated %.0f bytes" bytes
+
 let suite =
   [
     Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
@@ -190,4 +268,8 @@ let suite =
     Alcotest.test_case "seek time monotone in distance" `Quick test_seek_time_monotone;
     Alcotest.test_case "elevator beats FIFO on random load" `Quick test_elevator_beats_fifo_on_random_load;
     Alcotest.test_case "elevator preserves data" `Quick test_elevator_preserves_data;
+    Alcotest.test_case "unwritten ranges read as zeros" `Quick test_unwritten_reads_zero;
+    Alcotest.test_case "page-straddling requests round-trip" `Quick test_page_straddle_roundtrip;
+    Alcotest.test_case "crash mid-transaction keeps old bytes" `Quick test_crash_mid_transaction_keeps_old;
+    Alcotest.test_case "create allocates under 1 MiB" `Quick test_create_allocates_little;
   ]

@@ -85,59 +85,129 @@ let test_sequential_8k_stream_coalesces () =
   Alcotest.(check int) "single extent" 1 (Extent_map.extent_count m);
   Alcotest.(check int) "128K" (128 * 1024) (Extent_map.total_bytes m)
 
-(* Model-based property test: an extent map must behave like a sparse
-   byte array. *)
+(* Model-based property test: after every step of a random sequence,
+   the map must agree with a flat byte array holding [Some c] where a
+   byte is stored — on the stored bytes, on [total_bytes], on
+   [extent_count] (extents are the array's maximal runs, so this checks
+   coalescing), and on the exact [(off, bytes)] each take returns.
+   Inserted bytes are never NUL, so [apply] over a NUL buffer shows
+   which bytes are present. *)
+let model_size = 256
+
+(* Maximal runs of stored bytes, in offset order: the extents the map
+   must hold. *)
+let model_runs model =
+  let runs = ref [] and start = ref (-1) in
+  for i = 0 to model_size do
+    let present = i < model_size && model.(i) <> None in
+    if present && !start < 0 then start := i
+    else if (not present) && !start >= 0 then begin
+      runs := (!start, i) :: !runs;
+      start := -1
+    end
+  done;
+  List.rev !runs
+
+let model_string model ~off ~len =
+  String.init len (fun i -> match model.(off + i) with Some c -> c | None -> '\000')
+
+(* Take [max] bytes from the run starting at [s]. *)
+let model_take model (s, e) ~max =
+  let n = Stdlib.min max (e - s) in
+  let taken = model_string model ~off:s ~len:n in
+  Array.fill model s n None;
+  Some (s, taken)
+
 let prop_model =
+  let open QCheck.Gen in
+  let range = pair (int_bound 200) (int_range 1 40) in
   let op_gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map2 (fun off len -> `Insert (off, len)) (int_bound 200) (int_range 1 40);
-          map2 (fun off len -> `Remove (off, len)) (int_bound 200) (int_range 1 40);
-          return `Take;
-        ])
+    oneof
+      [
+        map (fun r -> `Insert r) range;
+        map (fun r -> `Remove r) range;
+        map (fun m -> `Take_first m) (int_range 1 48);
+        map2 (fun off m -> `Take_after (off, m)) (int_bound 240) (int_range 1 48);
+        map (fun r -> `Apply r) range;
+        map (fun r -> `Covers r) range;
+      ]
   in
-  let ops_arb = QCheck.make ~print:(fun l -> string_of_int (List.length l)) QCheck.Gen.(list_size (1 -- 60) op_gen) in
+  let print_op = function
+    | `Insert (o, l) -> Printf.sprintf "insert %d+%d" o l
+    | `Remove (o, l) -> Printf.sprintf "remove %d+%d" o l
+    | `Take_first m -> Printf.sprintf "take_first %d" m
+    | `Take_after (o, m) -> Printf.sprintf "take_after %d %d" o m
+    | `Apply (o, l) -> Printf.sprintf "apply %d+%d" o l
+    | `Covers (o, l) -> Printf.sprintf "covers %d+%d" o l
+  in
+  let ops_arb =
+    QCheck.make ~print:(fun l -> String.concat "; " (List.map print_op l)) (list_size (1 -- 60) op_gen)
+  in
   QCheck.Test.make ~name:"extent map matches sparse-array model" ~count:300 ops_arb (fun ops ->
       let m = Extent_map.create () in
-      let model = Array.make 512 None in
-      let tag = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
+      let model = Array.make model_size None in
+      let fail step fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) step in
+      let check_take step what got want =
+        let show = function
+          | None -> "none"
+          | Some (off, b) -> Printf.sprintf "%d:%S" off b
+        in
+        let got = Option.map (fun (off, d) -> (off, Bytes.to_string d)) got in
+        if got <> want then fail step "%s returned %s, model %s" what (show got) (show want)
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
           | `Insert (off, len) ->
-              incr tag;
-              let c = Char.chr (33 + (!tag mod 90)) in
-              Extent_map.insert m ~off (Bytes.make len c);
-              for i = off to off + len - 1 do
-                model.(i) <- Some c
+              (* Position-dependent bytes, so a misplaced slice shows. *)
+              let data = Bytes.init len (fun i -> Char.chr (33 + ((step * 7) + i) mod 90)) in
+              Extent_map.insert m ~off data;
+              (* The map copied: scribbling on the caller's buffer must
+                 not reach it. *)
+              Bytes.fill data 0 len '!';
+              for i = 0 to len - 1 do
+                model.(off + i) <- Some (Char.chr (33 + ((step * 7) + i) mod 90))
               done
           | `Remove (off, len) ->
               Extent_map.remove_range m ~off ~len;
-              for i = off to Stdlib.min 511 (off + len - 1) do
-                model.(i) <- None
-              done
-          | `Take -> (
-              match Extent_map.take_first m ~max:16 with
-              | None -> ()
-              | Some (off, d) ->
-                  for i = off to off + Bytes.length d - 1 do
-                    (* must match the model's bytes, then vacate *)
-                    if model.(i) <> Some (Bytes.get d (i - off)) then
-                      QCheck.Test.fail_reportf "take_first mismatch at %d" i;
-                    model.(i) <- None
-                  done))
+              Array.fill model off len None
+          | `Take_first max ->
+              let want =
+                match model_runs model with [] -> None | run :: _ -> model_take model run ~max
+              in
+              check_take step "take_first" (Extent_map.take_first m ~max) want
+          | `Take_after (off, max) ->
+              let want =
+                match List.find_opt (fun (s, _) -> s >= off) (model_runs model) with
+                | Some run -> model_take model run ~max
+                | None -> (
+                    match model_runs model with [] -> None | run :: _ -> model_take model run ~max)
+              in
+              check_take step "take_after" (Extent_map.take_after m ~off ~max) want
+          | `Apply (off, len) ->
+              let buf = Bytes.make len '\000' in
+              Extent_map.apply m ~off buf;
+              if Bytes.to_string buf <> model_string model ~off ~len then
+                fail step "apply %d+%d disagrees with the model" off len
+          | `Covers (off, len) ->
+              let want = List.exists (fun (s, e) -> s <= off && off + len <= e) (model_runs model) in
+              if Extent_map.covers m ~off ~len <> want then
+                fail step "covers %d+%d: model says %b" off len want);
+          let buf = Bytes.make model_size '\000' in
+          Extent_map.apply m ~off:0 buf;
+          if Bytes.to_string buf <> model_string model ~off:0 ~len:model_size then
+            fail step "stored bytes disagree with the model";
+          let runs = model_runs model in
+          let stored = List.fold_left (fun n (s, e) -> n + e - s) 0 runs in
+          if Extent_map.total_bytes m <> stored then
+            fail step "total_bytes %d, model %d" (Extent_map.total_bytes m) stored;
+          if Extent_map.extent_count m <> List.length runs then
+            fail step "extent_count %d, model runs %d" (Extent_map.extent_count m) (List.length runs);
+          let extents = ref [] in
+          Extent_map.iter (fun off d -> extents := (off, off + Bytes.length d) :: !extents) m;
+          if List.rev !extents <> runs then fail step "iter disagrees with the model's runs")
         ops;
-      (* Final read-back comparison. *)
-      let buf = Bytes.make 512 '\000' in
-      Extent_map.apply m ~off:0 buf;
-      let ok = ref true in
-      for i = 0 to 511 do
-        let expect = match model.(i) with Some c -> c | None -> '\000' in
-        if Bytes.get buf i <> expect then ok := false
-      done;
-      let model_bytes = Array.fold_left (fun n c -> if c = None then n else n + 1) 0 model in
-      !ok && model_bytes = Extent_map.total_bytes m)
+      true)
 
 let suite =
   [

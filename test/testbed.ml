@@ -68,3 +68,18 @@ let write_file rig file ~total ?(app_chunk = 8192) ?(seed = 7) () =
   Engine.now rig.eng - t0
 
 let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
+
+(* [f ()] and the bytes it allocates, minor and major. Allocation
+   counts are deterministic, unlike time; the minor collections bracket
+   the call because [Gc.quick_stat] folds the minor heap's tally in
+   only at a collection. *)
+let allocated_bytes f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = f () in
+  let w1 = words () in
+  (r, (w1 -. w0) *. float_of_int (Sys.word_size / 8))
