@@ -14,13 +14,13 @@
      dune exec bench/main.exe -- bootstorm     only BENCH_bootstorm.json
      dune exec bench/main.exe -- simspeed      set-up and run time of one world, events/sec
 
-   Every non-micro run also writes BENCH_writegather.json (the paper's
-   core Standard/Gathering/NVRAM comparison, machine-readable),
-   BENCH_multivolume.json (the 3-export independence/fault-isolation
-   bench), BENCH_iosched.json (Fifo vs Elevator vs Deadline+merge on
-   one spindle) and BENCH_raid.json (RAID level x gathering over a
-   3-drive array, with degraded service and online rebuild; fixed
-   workloads, committed and diffed by CI) to the current directory.
+   The full run also writes every BENCH_*.json artifact to the current
+   directory: writegather (the paper's core Standard/Gathering/NVRAM
+   comparison, machine-readable), multivolume (3-export independence
+   and fault isolation), iosched (Fifo vs Elevator vs Deadline+merge on
+   one spindle), raid (RAID level x gathering over a 3-drive array,
+   with degraded service and online rebuild), laddis-curve and
+   bootstorm. CI regenerates and diffs each one.
 
    Paper-vs-measured commentary lives in EXPERIMENTS.md. *)
 
@@ -101,87 +101,31 @@ let run_extensions quick =
       ("write-layer modes incl. dangerous", fun () -> E.extension_write_modes ~quick ());
     ]
 
-(* {1 The machine-readable bench artifact} *)
+(* {1 The machine-readable bench artifacts}
 
-let bench_json_file = "BENCH_writegather.json"
+   One (target, file, bench) per committed artifact. Every bench but
+   writegather runs a fixed workload regardless of quick/full, so CI
+   can diff a fresh run against the committed file byte for byte. *)
 
-let run_writegather quick =
-  progress "bench: running writegather JSON bench ...";
+let artifacts quick =
+  let module X = Nfsg_experiments in
+  [
+    ("writegather", "BENCH_writegather.json", fun () -> E.bench_writegather ~quick ());
+    ("multivolume", "BENCH_multivolume.json", X.Multivolume.bench_multivolume);
+    ("iosched", "BENCH_iosched.json", X.Iosched.bench_iosched);
+    ("raid", "BENCH_raid.json", X.Raid.bench_raid);
+    ("laddis-curve", "BENCH_laddis_curve.json", fun () -> X.Laddis_curve.bench_laddis_curve ());
+    ("bootstorm", "BENCH_bootstorm.json", fun () -> X.Bootstorm.bench_bootstorm ());
+  ]
+
+let write_artifact (target, file, bench) =
+  progress "bench: running %s JSON bench ..." target;
   let t0 = Unix.gettimeofday () in
-  let json = E.bench_writegather ~quick () in
-  let oc = open_out bench_json_file in
+  let json = bench () in
+  let oc = open_out file in
   output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
   close_out oc;
-  progress "bench: wrote %s in %.1fs wall" bench_json_file (Unix.gettimeofday () -. t0)
-
-let multivolume_json_file = "BENCH_multivolume.json"
-
-(* Fixed workload regardless of quick/full: the artifact is committed
-   and CI diffs a fresh run against it byte for byte. *)
-let run_multivolume () =
-  progress "bench: running multivolume JSON bench ...";
-  let t0 = Unix.gettimeofday () in
-  let json = Nfsg_experiments.Multivolume.bench_multivolume () in
-  let oc = open_out multivolume_json_file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" multivolume_json_file (Unix.gettimeofday () -. t0)
-
-let iosched_json_file = "BENCH_iosched.json"
-
-(* Fifo (merge off) vs Elevator vs Deadline+merge under the same mixed
-   multi-client LADDIS-style load; fixed workload, committed and
-   byte-diffed by CI like the other two artifacts. *)
-let run_iosched () =
-  progress "bench: running iosched JSON bench ...";
-  let t0 = Unix.gettimeofday () in
-  let json = Nfsg_experiments.Iosched.bench_iosched () in
-  let oc = open_out iosched_json_file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" iosched_json_file (Unix.gettimeofday () -. t0)
-
-let raid_json_file = "BENCH_raid.json"
-
-(* RAID level x write gathering over a 3-drive array, plus degraded
-   service and an online rebuild per redundant level; fixed workload,
-   committed and byte-diffed by CI. *)
-let run_raid () =
-  progress "bench: running raid JSON bench ...";
-  let t0 = Unix.gettimeofday () in
-  let json = Nfsg_experiments.Raid.bench_raid () in
-  let oc = open_out raid_json_file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" raid_json_file (Unix.gettimeofday () -. t0)
-
-let laddis_curve_json_file = "BENCH_laddis_curve.json"
-
-(* Offered-load ladder per server configuration until each saturates;
-   fixed sweep regardless of quick/full, committed and byte-diffed by
-   CI like the other artifacts. *)
-let run_laddis_curve () =
-  progress "bench: running laddis-curve JSON bench ...";
-  let t0 = Unix.gettimeofday () in
-  let json = Nfsg_experiments.Laddis_curve.bench_laddis_curve () in
-  let oc = open_out laddis_curve_json_file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" laddis_curve_json_file (Unix.gettimeofday () -. t0)
-
-let bootstorm_json_file = "BENCH_bootstorm.json"
-
-(* Diskless-fleet ladder against one shared read-only export, server
-   read-ahead off vs on; fixed ladder regardless of quick/full,
-   committed and byte-diffed by CI. *)
-let run_bootstorm () =
-  progress "bench: running bootstorm JSON bench ...";
-  let t0 = Unix.gettimeofday () in
-  let json = Nfsg_experiments.Bootstorm.bench_bootstorm () in
-  let oc = open_out bootstorm_json_file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" bootstorm_json_file (Unix.gettimeofday () -. t0)
+  progress "bench: wrote %s in %.1fs wall" file (Unix.gettimeofday () -. t0)
 
 (* {1 Simulator speed}
 
@@ -340,35 +284,19 @@ let run_micro () =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "quick" args in
-  let micro_only = List.mem "micro" args in
-  let writegather_only = List.mem "writegather" args in
-  let multivolume_only = List.mem "multivolume" args in
-  let iosched_only = List.mem "iosched" args in
-  let raid_only = List.mem "raid" args in
-  let laddis_curve_only = List.mem "laddis-curve" args in
-  let bootstorm_only = List.mem "bootstorm" args in
-  let simspeed_only = List.mem "simspeed" args in
-  if micro_only then run_micro ()
-  else if writegather_only then run_writegather quick
-  else if multivolume_only then run_multivolume ()
-  else if iosched_only then run_iosched ()
-  else if raid_only then run_raid ()
-  else if laddis_curve_only then run_laddis_curve ()
-  else if bootstorm_only then run_bootstorm ()
-  else if simspeed_only then run_simspeed ()
-  else begin
-    Printf.printf "NFS write gathering: full reproduction run (%s)\n"
-      (if quick then "quick mode" else "paper-size workloads");
-    run_tables quick;
-    run_figures quick;
-    run_ablations quick;
-    run_extensions quick;
-    run_writegather quick;
-    run_multivolume ();
-    run_iosched ();
-    run_raid ();
-    run_laddis_curve ();
-    run_bootstorm ();
-    run_simspeed ();
-    run_micro ()
-  end
+  let artifacts = artifacts quick in
+  if List.mem "micro" args then run_micro ()
+  else
+    match List.find_opt (fun (target, _, _) -> List.mem target args) artifacts with
+    | Some artifact -> write_artifact artifact
+    | None when List.mem "simspeed" args -> run_simspeed ()
+    | None ->
+        Printf.printf "NFS write gathering: full reproduction run (%s)\n"
+          (if quick then "quick mode" else "paper-size workloads");
+        run_tables quick;
+        run_figures quick;
+        run_ablations quick;
+        run_extensions quick;
+        List.iter write_artifact artifacts;
+        run_simspeed ();
+        run_micro ()

@@ -217,8 +217,8 @@ let run quick scheduler raid_level sweep_points procs_max curve_configs clients_
         (fun on -> List.filter (fun v -> (v.Bs.readahead <> None) = on) Bs.variants)
         readahead )
   in
-  (* The chaos rig builds its own world, so the flags that reach it are
-     set on its config. *)
+  (* The chaos rig takes no [adjust]: its storage is its own, so the
+     flags that reach it are set on its config. *)
   let chaos =
     let cfg =
       if quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
@@ -230,8 +230,8 @@ let run quick scheduler raid_level sweep_points procs_max curve_configs clients_
       array_level = raid_level;
     }
   in
-  (* Rig-built worlds report into the shared sink; chaos takes the
-     registry as a value. *)
+  (* Worlds without a registry of their own report into the shared
+     sink; chaos takes the registry as a value. *)
   Rig.set_metrics_sink metrics;
   List.iteri
     (fun i name ->

@@ -19,7 +19,6 @@ type config = {
   seed : int;
   cycles : int;
   accel : bool;
-  dupcache : bool;
   writers : int;
   blocks_per_writer : int;
   burst_ops : int;
@@ -39,7 +38,6 @@ let default =
     seed = 42;
     cycles = 5;
     accel = false;
-    dupcache = true;
     writers = 3;
     blocks_per_writer = 200;
     burst_ops = 8;
@@ -89,49 +87,62 @@ let block_data blk = Bytes.init bs (fun j -> Char.chr ((j + block_fill blk) mod 
    produce identical timelines, identical final statistics and equal
    digests — the reproducibility invariant the test suite asserts. *)
 let run ?metrics cfg =
-  let metrics =
-    match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create ()
-  in
-  let eng = Engine.create () in
-  let segment = Segment.create eng ~seed:(cfg.seed lxor 0x5e11) ~metrics Segment.fddi in
-  Segment.set_loss_prob segment cfg.loss_prob;
-  Segment.set_dup_prob segment cfg.dup_prob;
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   (* The device stack under test. [array_level = None] keeps the
      classic single-spindle rig, byte-identical to earlier revisions;
      a level builds a redundant array whose members each carry their
      own injector (whole-spindle fail-stop), with the classic
      top-level injector wrapping the array itself. *)
-  let base, member_injectors, array =
-    match cfg.array_level with
-    | None ->
-        let disk =
-          Disk.create eng ~name:"rz26" ~metrics ~scheduler:cfg.scheduler Calib.disk_geometry
-        in
-        (disk, [||], None)
-    | Some level ->
-        let n = match level with Stripe.Raid1 -> 2 | _ -> 3 in
-        let wrapped =
-          Array.init n (fun i ->
-              let m =
-                Disk.create eng
+  let stack = ref None in
+  let storage (env : Rig.env) =
+    let base, raw, member_injectors, array =
+      match cfg.array_level with
+      | None ->
+          let disk =
+            Disk.create env.eng ~name:"rz26" ~metrics ~scheduler:cfg.scheduler Calib.disk_geometry
+          in
+          (disk, [| disk |], [||], None)
+      | Some level ->
+          let n = match level with Stripe.Raid1 -> 2 | _ -> 3 in
+          let members =
+            Array.init n (fun i ->
+                Disk.create env.eng
                   ~name:(Printf.sprintf "rz26-m%d" i)
                   ~metrics ~scheduler:cfg.scheduler
-                  (Disk.rz26 ~capacity:(16 * 1024 * 1024) ())
-              in
-              Fault_disk.wrap eng ~seed:(cfg.seed lxor (0xfa10 + i)) m)
-        in
-        let arr =
-          Stripe.create_array eng ~name:"array" ~metrics ~level ~chunk:32768
-            (Array.map snd wrapped)
-        in
-        (Stripe.device arr, Array.map fst wrapped, Some arr)
+                  (Disk.rz26 ~capacity:(16 * 1024 * 1024) ()))
+          in
+          let wrapped =
+            Array.mapi
+              (fun i m -> Fault_disk.wrap env.eng ~seed:(cfg.seed lxor (0xfa10 + i)) m)
+              members
+          in
+          let arr =
+            Stripe.create_array env.eng ~name:"array" ~metrics ~level ~chunk:32768
+              (Array.map snd wrapped)
+          in
+          (Stripe.device arr, members, Array.map fst wrapped, Some arr)
+    in
+    let injector, faulty = Fault_disk.wrap env.eng ~seed:(cfg.seed lxor 0xfa01) base in
+    let device =
+      if cfg.accel then Nvram.create env.eng ~params:Calib.nvram_params ~metrics faulty else faulty
+    in
+    stack := Some (injector, member_injectors, array, device);
+    { Rig.raw; exports = [ device ] }
   in
-  let injector, faulty = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) base in
-  let device =
-    if cfg.accel then Nvram.create eng ~params:Calib.nvram_params ~metrics faulty else faulty
+  let rig =
+    Rig.make ~seed:(cfg.seed lxor 0x5e11) ~storage ~metrics
+      {
+        Rig.default_spec with
+        Rig.nfsds = cfg.nfsds;
+        costs = Some Nfsg_core.Cpu_model.default;
+        write_layer_overrides = (fun _ -> Write_layer.default_gathering);
+      }
   in
-  let sconfig = { Server.default_config with Server.nfsds = cfg.nfsds; dupcache = cfg.dupcache } in
-  let server = ref (Server.make eng ~segment ~addr:"server" ~device ~metrics sconfig) in
+  let injector, member_injectors, array, device = Option.get !stack in
+  let eng = rig.Rig.eng and segment = rig.Rig.segment in
+  Segment.set_loss_prob segment cfg.loss_prob;
+  Segment.set_dup_prob segment cfg.dup_prob;
+  let server = ref rig.Rig.server in
 
   (* Observations (all plain counters: no wall clock, no global RNG). *)
   let timeline = ref [] in
@@ -158,7 +169,6 @@ let run ?metrics cfg =
   let writers_done = ref 0 in
   let burst_req = ref 0 and bursts_done = ref 0 in
   let mutator_gone = ref false in
-  let result = ref None in
 
   let root_fh = ref { Proto.fsid = 0; vgen = 0; inum = 0; gen = 0 } in
   let victim_fh = ref { Proto.fsid = 0; vgen = 0; inum = 0; gen = 0 } in
@@ -317,8 +327,7 @@ let run ?metrics cfg =
       Engine.spawn eng ~name:(Printf.sprintf "writer%d" w) (writer w rpc)
     done;
     Engine.spawn eng ~name:"mutator" (mutator boot_rpc);
-    note "chaos begins: seed=%d cycles=%d accel=%b dupcache=%b" cfg.seed cfg.cycles cfg.accel
-      cfg.dupcache;
+    note "chaos begins: seed=%d cycles=%d accel=%b dupcache=true" cfg.seed cfg.cycles cfg.accel;
     Engine.delay (Time.of_ms_f 400.0);
 
     let span = Time.of_ms_f 2600.0 in
@@ -476,38 +485,32 @@ let run ?metrics cfg =
            (raid_counter Names.rebuilds_completed)
            (raid_counter Names.degraded_reads)
            (raid_counter Names.degraded_writes));
-    result :=
-      Some
-        {
-          acked = Hashtbl.length acked;
-          lost = List.sort compare !lost;
-          issued_creates = !issued_creates;
-          completed_creates = !completed_creates;
-          executed_creates = !executed_creates;
-          issued_removes = !issued_removes;
-          completed_removes = !completed_removes;
-          executed_removes = !executed_removes;
-          spurious_nonidem = !spurious;
-          crashes = !crashes;
-          restarts = !restarts;
-          flush_failures = !flush_failures;
-          errors_injected = Fault_disk.errors_injected injector;
-          io_error_replies = !io_error_replies;
-          member_failures = raid_counter Names.member_failures;
-          rebuilds_completed = raid_counter Names.rebuilds_completed;
-          degraded_reads = raid_counter Names.degraded_reads;
-          degraded_writes = raid_counter Names.degraded_writes;
-          trace_dropped;
-          fsck_errors = !fsck_errors;
-          timeline;
-          digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-        }
+    {
+      acked = Hashtbl.length acked;
+      lost = List.sort compare !lost;
+      issued_creates = !issued_creates;
+      completed_creates = !completed_creates;
+      executed_creates = !executed_creates;
+      issued_removes = !issued_removes;
+      completed_removes = !completed_removes;
+      executed_removes = !executed_removes;
+      spurious_nonidem = !spurious;
+      crashes = !crashes;
+      restarts = !restarts;
+      flush_failures = !flush_failures;
+      errors_injected = Fault_disk.errors_injected injector;
+      io_error_replies = !io_error_replies;
+      member_failures = raid_counter Names.member_failures;
+      rebuilds_completed = raid_counter Names.rebuilds_completed;
+      degraded_reads = raid_counter Names.degraded_reads;
+      degraded_writes = raid_counter Names.degraded_writes;
+      trace_dropped;
+      fsck_errors = !fsck_errors;
+      timeline;
+      digest = Digest.to_hex (Digest.string (Buffer.contents buf));
+    }
   in
-  Engine.spawn eng ~name:"chaos" driver;
-  Engine.run eng;
-  match !result with
-  | Some r -> r
-  | None -> failwith "Chaos.run: driver never finished"
+  Rig.run rig driver
 
 let pp_result ppf r =
   Fmt.pf ppf

@@ -22,9 +22,7 @@
       the end ([lost] must stay empty);
     - {b no non-idempotent re-execution}: with the duplicate cache on,
       no unique-name CREATE may come back [NFSERR_EXIST] and no
-      once-removed name [NFSERR_NOENT] ([spurious_nonidem] = 0); the
-      same run with [dupcache = false] is the control that shows the
-      failure the cache exists to prevent;
+      once-removed name [NFSERR_NOENT] ([spurious_nonidem] = 0);
     - {b reproducibility}: everything — fault instants, RNG draws,
       think times — derives from [seed], so equal configs give equal
       [timeline]s and equal [digest]s;
@@ -34,7 +32,6 @@ type config = {
   seed : int;
   cycles : int;  (** crash/restart cycles (the acceptance run uses 5) *)
   accel : bool;  (** NVRAM front plus a battery-failure episode *)
-  dupcache : bool;
   writers : int;
   blocks_per_writer : int;
   burst_ops : int;  (** CREATE/REMOVE pairs per quiet phase *)

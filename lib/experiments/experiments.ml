@@ -447,15 +447,11 @@ let bench_biods = 7
 let bench_writegather ?(quick = false) ?(adjust = Fun.id) ?total () =
   let total = match total with Some t -> t | None -> size quick in
   let writes = (total + 8191) / 8192 in
-  (* Each mode row must read its own registry — a shared --metrics-json
-     sink would accumulate one row's latency and batch histograms into
-     the next. Park the sink for the duration. *)
-  let saved_sink = Rig.metrics_sink () in
-  Rig.set_metrics_sink None;
-  Fun.protect ~finally:(fun () -> Rig.set_metrics_sink saved_sink) @@ fun () ->
   let row ~mode ~gathering ~accel =
     let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; accel } in
-    let rig = Rig.make (adjust spec) in
+    (* Each mode row reads its own registry: a shared --metrics-json
+       sink would accumulate one row's histograms into the next. *)
+    let rig = Rig.make ~metrics:(Metrics.create ()) (adjust spec) in
     let m = Rig.metrics rig in
     Rig.run rig (fun () ->
         let client = Rig.new_client rig ~biods:bench_biods "client" in

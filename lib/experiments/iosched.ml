@@ -1,11 +1,6 @@
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
-module Socket = Nfsg_net.Socket
 module Disk = Nfsg_disk.Disk
 module Server = Nfsg_core.Server
-module Write_layer = Nfsg_core.Write_layer
-module Client = Nfsg_nfs.Client
-module Rpc_client = Nfsg_rpc.Rpc_client
 module Laddis = Nfsg_workload.Laddis
 module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
@@ -77,54 +72,23 @@ let disk_name = "rz26"
 (* One world per variant: segment, one scheduled spindle, a gathering
    server, [procs] independent client stacks under LADDIS load. Same
    seed across variants — the offered traffic is identical; only the
-   order the spindle services it in differs. *)
-type world = {
-  eng : Engine.t;
-  metrics : Metrics.t;  (** server-side registry *)
-  cm : Metrics.t;  (** client-side registry *)
-  disk : Nfsg_disk.Device.t;
-  server : Server.t;
-}
-
-let build_world ?long_op_threshold cfg v =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x3a7) ~metrics (Calib.segment_params Calib.Fddi)
+   order the spindle services it in differs. Clients report into their
+   own registry, [cm], apart from the server's. *)
+let drive ?long_op_threshold cfg v =
+  let storage (env : Rig.env) =
+    let disk =
+      Disk.create env.eng ~name:disk_name ~metrics:env.metrics ~scheduler:v.scheduler
+        ~merge:v.merge ~deadline:v.deadline ~on_transaction:env.on_transaction
+        Calib.disk_geometry
+    in
+    { Rig.raw = [| disk |]; exports = [ disk ] }
   in
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs Calib.Fddi in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  let disk =
-    Disk.create eng ~name:disk_name ~metrics ~scheduler:v.scheduler ~merge:v.merge
-      ~deadline:v.deadline
-      ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-      Calib.disk_geometry
+  let rig =
+    Rig.make ~seed:(cfg.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
+      { Rig.default_spec with Rig.nfsds = cfg.nfsds; long_op_threshold }
   in
-  let wl_config =
-    { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
-  in
-  let config =
-    {
-      Server.default_config with
-      Server.nfsds = cfg.nfsds;
-      write_layer = wl_config;
-      costs;
-      long_op_threshold;
-    }
-  in
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk ~metrics config in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
   let cm = Metrics.create () in
-  let make_client i =
-    let sock = Socket.create segment ~addr:(Printf.sprintf "client%d" i) () in
-    let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics:cm () in
-    Client.create eng ~rpc ~biods:4 ~metrics:cm ()
-  in
-  (segment, make_client, { eng; metrics; cm; disk; server })
-
-let drive (segment, make_client, w) cfg =
-  ignore (segment : Segment.t);
+  let make_client i = Rig.new_client rig ~metrics:cm (Printf.sprintf "client%d" i) in
   let lcfg =
     {
       Laddis.default_config with
@@ -136,26 +100,23 @@ let drive (segment, make_client, w) cfg =
       seed = cfg.seed;
     }
   in
-  let out = ref None in
-  Engine.spawn w.eng ~name:"driver" (fun () ->
-      out :=
-        Some
-          (Laddis.run w.eng ~make_client ~root:(Server.root_fh w.server) ~offered:cfg.offered
-             lcfg));
-  Engine.run w.eng;
-  match !out with Some p -> p | None -> failwith "Iosched.drive: load never finished"
+  let point =
+    Rig.run rig (fun () ->
+        Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered:cfg.offered lcfg)
+  in
+  (rig, cm, point)
 
 let run_variant cfg v =
-  let ((_, _, w) as world) = build_world cfg v in
-  let point = drive world cfg in
+  let rig, cm, point = drive cfg v in
+  let metrics = Rig.metrics rig in
   let ns = Names.Ns.disk disk_name in
-  let counter name = Option.value ~default:0 (Metrics.find_counter w.metrics ~ns name) in
+  let counter name = Option.value ~default:0 (Metrics.find_counter metrics ~ns name) in
   let lat f =
-    match Metrics.find_histogram w.cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
+    match Metrics.find_histogram cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
     | Some h -> f h
     | None -> 0.0
   in
-  let stats = w.disk.Nfsg_disk.Device.spindle_stats () in
+  let stats = Rig.spindle_stats rig in
   {
     variant = v;
     point;
@@ -167,7 +128,7 @@ let run_variant cfg v =
     promotions = counter Names.deadline_promotions;
     barriers = counter Names.barriers;
     queue_wait_p99_us =
-      (match Metrics.find_histogram w.metrics ~ns Names.queue_wait_us with
+      (match Metrics.find_histogram metrics ~ns Names.queue_wait_us with
       | Some h -> Histogram.p99 h
       | None -> 0.0);
   }
@@ -272,21 +233,21 @@ let investigate ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Iosched.investigate: unknown variant %S" label)
   in
-  let ((_, _, w) as world) = build_world ~long_op_threshold:threshold cfg v in
-  let point = drive world cfg in
+  let rig, cm, point = drive ~long_op_threshold:threshold cfg v in
+  let metrics = Rig.metrics rig in
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "iosched probe: variant=%s threshold=%.0fms achieved=%.1f ops/s" v.label
     (Time.to_ms_f threshold) point.Laddis.achieved;
   let client_h f =
-    match Metrics.find_histogram w.cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
+    match Metrics.find_histogram cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
     | Some h -> f h
     | None -> 0.0
   in
   line "client WRITE latency (us): mean=%.0f p50=%.0f p99=%.0f" (client_h Histogram.mean)
     (client_h Histogram.median) (client_h Histogram.p99);
   let jh name f =
-    match Metrics.find_histogram w.metrics ~ns:Names.Ns.journey name with
+    match Metrics.find_histogram metrics ~ns:Names.Ns.journey name with
     | Some h -> f h
     | None -> 0.0
   in
@@ -300,15 +261,15 @@ let investigate ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
     (jh (Names.phase_us Names.phase_gather_wait) Histogram.p99)
     (jh (Names.phase_us Names.phase_disk) Histogram.p99)
     (jh (Names.phase_us Names.phase_reply) Histogram.p99);
-  let cc name = Option.value ~default:0 (Metrics.find_counter w.cm ~ns:Names.Ns.rpc_client name) in
+  let cc name = Option.value ~default:0 (Metrics.find_counter cm ~ns:Names.Ns.rpc_client name) in
   line "client rpc: timeouts=%d retransmissions=%d stale_replies=%d" (cc Names.timeouts)
     (cc Names.retransmissions) (cc Names.stale_replies);
   let sc name =
-    Option.value ~default:0 (Metrics.find_counter w.metrics ~ns:Names.Ns.rpc_svc name)
+    Option.value ~default:0 (Metrics.find_counter metrics ~ns:Names.Ns.rpc_svc name)
   in
   line "server dupcache: duplicate_drops=%d duplicate_replays=%d" (sc Names.duplicate_drops)
     (sc Names.duplicate_replays);
-  let plane = Server.journeys w.server in
+  let plane = Server.journeys rig.Rig.server in
   line "long-ops over threshold: %d" (Nfsg_stats.Journey.long_op_count plane);
   Buffer.add_string buf (Nfsg_stats.Journey.render_long_ops plane);
   Buffer.contents buf

@@ -1,15 +1,8 @@
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
-module Socket = Nfsg_net.Socket
 module Disk = Nfsg_disk.Disk
 module Stripe = Nfsg_disk.Stripe
-module Device = Nfsg_disk.Device
 module Fault_disk = Nfsg_fault.Fault_disk
 module Server = Nfsg_core.Server
-module Volume = Nfsg_core.Volume
-module Write_layer = Nfsg_core.Write_layer
-module Client = Nfsg_nfs.Client
-module Rpc_client = Nfsg_rpc.Rpc_client
 module Laddis = Nfsg_workload.Laddis
 module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
@@ -69,33 +62,25 @@ type result = { clean : phase; faulted : phase; errors_injected : int }
    simulation end time (how the caller learns where the measurement
    window sits, so the faulted twin can be armed inside it). *)
 let run_world ?fault cfg =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x3a7) ~metrics (Calib.segment_params Calib.Fddi)
+  let injector = ref None in
+  let storage (env : Rig.env) =
+    let mk_disk name =
+      Disk.create env.eng ~name ~metrics:env.metrics ~on_transaction:env.on_transaction
+        Calib.disk_geometry
+    in
+    let d0 = mk_disk "vol1-rz26" in
+    let inj, dev0 = Fault_disk.wrap env.eng ~seed:(cfg.seed lxor 0xfa01) d0 in
+    injector := Some inj;
+    let d1 = mk_disk "vol2-rz26" in
+    let stripe = Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i)) in
+    let dev2 = Stripe.create env.eng ~chunk:32768 stripe in
+    { Rig.raw = Array.append [| d0; d1 |] stripe; exports = [ dev0; d1; dev2 ] }
   in
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs Calib.Fddi in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  let mk_disk name =
-    Disk.create eng ~name ~metrics
-      ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-      Calib.disk_geometry
+  let rig =
+    Rig.make ~seed:(cfg.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
+      { Rig.default_spec with Rig.nfsds = cfg.nfsds }
   in
-  let injector, dev0 = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) (mk_disk "vol1-rz26") in
-  let dev1 = mk_disk "vol2-rz26" in
-  let dev2 = Stripe.create eng ~chunk:32768 (Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i))) in
-  let wl_config =
-    { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
-  in
-  let config =
-    { Server.default_config with Server.nfsds = cfg.nfsds; write_layer = wl_config; costs }
-  in
-  let server =
-    Server.make_exports eng ~segment ~addr:"server" ~metrics config
-      [ Volume.spec "/export0" dev0; Volume.spec "/export1" dev1; Volume.spec "/export2" dev2 ]
-  in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
+  let injector = Option.get !injector and metrics = Rig.metrics rig in
   (* Per-volume client registries: load process [i] works under export
      [i mod 3] (Laddis round-robin), and its client instruments land in
      that volume's registry — the only way WRITE latency can be read
@@ -103,12 +88,9 @@ let run_world ?fault cfg =
   let assignment = Array.of_list (Laddis.export_assignment ~procs:cfg.procs ~exports:nvols) in
   let cms = Array.init nvols (fun _ -> Metrics.create ()) in
   let make_client i =
-    let m = cms.(assignment.(i)) in
-    let sock = Socket.create segment ~addr:(Printf.sprintf "client%d" i) () in
-    let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics:m () in
-    Client.create eng ~rpc ~biods:4 ~metrics:m ()
+    Rig.new_client rig ~metrics:cms.(assignment.(i)) (Printf.sprintf "client%d" i)
   in
-  let roots = List.map snd (Server.exports server) in
+  let roots = List.map snd (Server.exports rig.Rig.server) in
   let lcfg =
     {
       Laddis.default_config with
@@ -120,18 +102,16 @@ let run_world ?fault cfg =
       seed = cfg.seed;
     }
   in
-  let out = ref None in
-  Engine.spawn eng ~name:"driver" (fun () ->
-      (match fault with
-      | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:cfg.fault_prob
-      | None -> ());
-      let point =
-        Laddis.run eng ~make_client ~root:(List.hd roots) ~exports:roots ~offered:cfg.offered lcfg
-      in
-      out := Some (point, Engine.now eng));
-  Engine.run eng;
   let point, end_time =
-    match !out with Some v -> v | None -> failwith "Multivolume.run_world: load never finished"
+    Rig.run rig (fun () ->
+        (match fault with
+        | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:cfg.fault_prob
+        | None -> ());
+        let point =
+          Laddis.run rig.Rig.eng ~make_client ~root:(List.hd roots) ~exports:roots
+            ~offered:cfg.offered lcfg
+        in
+        (point, Engine.now rig.Rig.eng))
   in
   let vol_stats k =
     let fsid = k + 1 in

@@ -12,11 +12,19 @@ module Client = Nfsg_nfs.Client
 module Rpc_client = Nfsg_rpc.Rpc_client
 module Metrics = Nfsg_stats.Metrics
 
+type env = {
+  eng : Engine.t;
+  metrics : Metrics.t;
+  charge : Time.t -> unit;
+  on_transaction : bytes:int -> unit;
+}
+
+type storage = { raw : Device.t array; exports : Device.t list }
+
 type spec = {
   net : Calib.net;
   accel : bool;
   spindles : int;
-  volumes : int;
   nfsds : int;
   gathering : bool;
   trace : bool;
@@ -24,6 +32,7 @@ type spec = {
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
   disk_scheduler : Disk.scheduler;
   raid_level : Stripe.level option;
+  costs : Nfsg_core.Cpu_model.t option;
   long_op_threshold : Time.t option;
   monitor_interval : Time.t option;
   monitor_emit : (string -> unit) option;
@@ -35,7 +44,6 @@ let default_spec =
     net = Calib.Fddi;
     accel = false;
     spindles = 1;
-    volumes = 1;
     nfsds = 8;
     gathering = true;
     trace = false;
@@ -43,6 +51,7 @@ let default_spec =
     readahead = None;
     disk_scheduler = Disk.Fifo;
     raid_level = None;
+    costs = None;
     long_op_threshold = None;
     monitor_interval = None;
     monitor_emit = None;
@@ -54,7 +63,6 @@ type t = {
   eng : Engine.t;
   segment : Segment.t;
   disks : Device.t array;
-  device : Device.t;
   server : Server.t;
   trace : Nfsg_stats.Trace.t option;
   metrics : Metrics.t;
@@ -66,49 +74,44 @@ type t = {
 let sink : Metrics.t option ref = ref None
 let () = Reset.register ~name:"rig.metrics_sink" (fun () -> sink := None)
 let set_metrics_sink m = sink := m
-let metrics_sink () = !sink
 let metrics t = t.metrics
 
-let make spec =
-  if spec.volumes <= 0 then invalid_arg "Rig.make: need at least one volume";
+(* The paper's stacks: [spindles] disks, a stripe set or redundant
+   array over several, Prestoserve in front when [accel]. *)
+let default_storage spec (env : env) =
+  let disks =
+    Array.init spec.spindles (fun i ->
+        Disk.create env.eng ~name:(Printf.sprintf "rz26-%d" i) ~metrics:env.metrics
+          ~on_transaction:env.on_transaction ~scheduler:spec.disk_scheduler Calib.disk_geometry)
+  in
+  let base =
+    if spec.spindles = 1 then disks.(0)
+    else
+      match spec.raid_level with
+      | None -> Stripe.create env.eng ~chunk:32768 disks
+      | Some level -> Stripe.create env.eng ~metrics:env.metrics ~level ~chunk:32768 disks
+  in
+  let device =
+    if spec.accel then
+      Nvram.create env.eng ~params:Calib.nvram_params ~metrics:env.metrics ~cpu_charge:env.charge
+        base
+    else base
+  in
+  { raw = disks; exports = [ device ] }
+
+let make ?seed ?storage ?metrics spec =
   let eng = Engine.create () in
-  let metrics = match !sink with Some m -> m | None -> Metrics.create () in
-  let segment = Segment.create eng ~metrics (Calib.segment_params spec.net) in
+  let metrics =
+    match (metrics, !sink) with Some m, _ | None, Some m -> m | None, None -> Metrics.create ()
+  in
+  let segment = Segment.create eng ?seed ~metrics (Calib.segment_params spec.net) in
   (* Forward reference: devices exist before the server CPU does. *)
   let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs spec.net in
+  let costs = match spec.costs with Some c -> c | None -> Calib.cpu_costs spec.net in
+  let charge d = !cpu_hook d in
   let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  (* One device stack (spindles, optional stripe, optional Presto) per
-     volume. Single-volume disk names keep their historical form so
-     metric keys stay byte-identical for existing rigs. *)
-  let mk_stack v =
-    let disks =
-      Array.init spec.spindles (fun i ->
-          let name =
-            if spec.volumes = 1 then Printf.sprintf "rz26-%d" i
-            else Printf.sprintf "vol%d-rz26-%d" (v + 1) i
-          in
-          Disk.create eng ~name ~metrics
-            ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-            ~scheduler:spec.disk_scheduler Calib.disk_geometry)
-    in
-    let base =
-      if spec.spindles = 1 then disks.(0)
-      else
-        match spec.raid_level with
-        | None -> Stripe.create eng ~chunk:32768 disks
-        | Some level -> Stripe.create eng ~metrics ~level ~chunk:32768 disks
-    in
-    let device =
-      if spec.accel then
-        Nvram.create eng ~params:Calib.nvram_params ~metrics ~cpu_charge:(fun d -> !cpu_hook d)
-          base
-      else base
-    in
-    (disks, device)
-  in
-  let stacks = Array.init spec.volumes mk_stack in
-  let disks = Array.concat (Array.to_list (Array.map fst stacks)) in
+  let env = { eng; metrics; charge; on_transaction = (fun ~bytes:_ -> charge driver_cost) } in
+  let storage = (Option.value storage ~default:(default_storage spec)) env in
   let trace = if spec.trace then Some (Nfsg_stats.Trace.create eng) else None in
   let write_layer =
     let base_cfg =
@@ -130,29 +133,25 @@ let make spec =
     }
   in
   let server =
-    if spec.volumes = 1 then
-      Server.make eng ~segment ~addr:"server" ~device:(snd stacks.(0)) ?trace ~metrics config
-    else
-      Server.make_exports eng ~segment ~addr:"server" ?trace ~metrics config
-        (List.init spec.volumes (fun v ->
-             {
-               Volume.export = Printf.sprintf "/export%d" v;
-               device = snd stacks.(v);
-               cache_blocks = spec.cache_blocks;
-               read_only = false;
-               readahead = spec.readahead;
-             }))
+    match storage.exports with
+    | [ device ] -> Server.make eng ~segment ~addr:"server" ~device ?trace ~metrics config
+    | devices ->
+        Server.make_exports eng ~segment ~addr:"server" ?trace ~metrics config
+          (List.mapi
+             (fun v device ->
+               Volume.spec ?cache_blocks:spec.cache_blocks ?readahead:spec.readahead
+                 (Printf.sprintf "/export%d" v) device)
+             devices)
   in
   (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
-  { spec; eng; segment; disks; device = snd stacks.(0); server; trace; metrics }
+  { spec; eng; segment; disks = storage.raw; server; trace; metrics }
 
-let new_client t ?(biods = 4) ?(protocol = Client.V2) addr =
+let new_client t ?(biods = 4) ?(protocol = Client.V2) ?(metrics = t.metrics) addr =
   let sock = Socket.create t.segment ~addr () in
-  let rpc = Rpc_client.create t.eng ~sock ~server:"server" ~metrics:t.metrics () in
-  Client.create t.eng ~rpc ~biods ~protocol ~metrics:t.metrics ()
+  let rpc = Rpc_client.create t.eng ~sock ~server:"server" ~metrics () in
+  Client.create t.eng ~rpc ~biods ~protocol ~metrics ()
 
 let root t = Server.root_fh t.server
-let roots t = List.map snd (Server.exports t.server)
 
 let run t f =
   let monitor =

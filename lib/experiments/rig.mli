@@ -1,16 +1,30 @@
 (** Experiment rig: a fresh simulated world per measurement — segment,
     device stack (raw disk, optional stripe set, optional Prestoserve),
-    server, and any number of client hosts. *)
+    server, and any number of client hosts. {!make} is the only way an
+    experiment builds a world; what varies between worlds is the
+    [spec] and, where the paper's stacks do not fit, the [storage]
+    callback. *)
+
+type env = {
+  eng : Nfsg_sim.Engine.t;
+  metrics : Nfsg_stats.Metrics.t;
+  charge : Nfsg_sim.Time.t -> unit;  (** charge the server CPU: an [Nvram.create ~cpu_charge] *)
+  on_transaction : bytes:int -> unit;
+      (** one driver transaction at the world's costs: a [Disk.create ~on_transaction] *)
+}
+(** What a storage callback builds its devices from. *)
+
+type storage = {
+  raw : Nfsg_disk.Device.t array;  (** the spindles; {!spindle_stats} sums these *)
+  exports : Nfsg_disk.Device.t list;
+      (** one device per export: one goes through [Server.make];
+          several through [Server.make_exports] as "/export0".. *)
+}
 
 type spec = {
   net : Calib.net;
   accel : bool;  (** Prestoserve NVRAM in front of the device *)
   spindles : int;  (** 1, or n for an n-drive stripe set *)
-  volumes : int;
-      (** exports served; each volume gets its own device stack
-          ([spindles] disks, optional stripe/Presto). 1 = the classic
-          single-volume rig via [Server.make]; >1 goes through
-          [Server.make_exports] with exports "/export0".."/exportN" *)
   nfsds : int;
   gathering : bool;
   trace : bool;
@@ -27,6 +41,9 @@ type spec = {
           a RAID-1 or RAID-5 array (with its own metrics) instead. The
           level must fit [spindles] (RAID-1 needs 2 members, RAID-5
           needs 3); ignored with one spindle *)
+  costs : Nfsg_core.Cpu_model.t option;
+      (** server CPU costs; [None] is the calibrated {!Calib.cpu_costs}
+          of [net] *)
   long_op_threshold : Nfsg_sim.Time.t option;
       (** arm long-op journey tracing in the server: ops slower
           end-to-end than this leave a record in its long-op ring,
@@ -43,24 +60,28 @@ type spec = {
 }
 
 val default_spec : spec
-(** FDDI, no accel, 1 spindle, 1 volume, 8 nfsds, gathering, no
-    trace, Fifo, plain stripe, no long-op tracing, no monitor. *)
+(** FDDI, no accel, 1 spindle, 8 nfsds, gathering, no trace, Fifo,
+    plain stripe, calibrated costs, no long-op tracing, no monitor. *)
 
 type t = {
   spec : spec;  (** what the world was built from *)
   eng : Nfsg_sim.Engine.t;
   segment : Nfsg_net.Segment.t;
   disks : Nfsg_disk.Device.t array;
-  device : Nfsg_disk.Device.t;
   server : Nfsg_core.Server.t;
   trace : Nfsg_stats.Trace.t option;
   metrics : Nfsg_stats.Metrics.t;
 }
 
-val make : spec -> t
-(** Every layer of the world registers its instruments in [metrics]: a
-    fresh registry per rig, unless {!set_metrics_sink} installed a
-    shared one. *)
+val make :
+  ?seed:int -> ?storage:(env -> storage) -> ?metrics:Nfsg_stats.Metrics.t -> spec -> t
+(** Build engine, segment (RNG [seed], default Segment's own), storage,
+    server, in that order: [storage] runs after the segment and before
+    the server, and the default callback builds the [spindles] /
+    [raid_level] / [accel] stack of [spec]. Every layer registers its
+    instruments in [metrics]; without it, the {!set_metrics_sink}
+    registry if one is installed, else a fresh one. A world that reads
+    its own instruments passes its own registry. *)
 
 val metrics : t -> Nfsg_stats.Metrics.t
 
@@ -68,22 +89,22 @@ val set_metrics_sink : Nfsg_stats.Metrics.t option -> unit
 (** Install (or clear) a process-wide registry that every subsequent
     {!make} reports into instead of a private one — how [--metrics-json]
     collects an experiment's instruments across the many worlds it
-    builds. Instruments accumulate across worlds by find-or-create. *)
-
-val metrics_sink : unit -> Nfsg_stats.Metrics.t option
-(** The currently installed shared sink, if any — lets an experiment
-    that needs per-world isolation (e.g. the writegather bench rows)
-    save, clear and restore it. *)
+    builds, unless they pass their own. Instruments accumulate across
+    worlds by find-or-create. *)
 
 val new_client :
-  t -> ?biods:int -> ?protocol:Nfsg_nfs.Client.protocol -> string -> Nfsg_nfs.Client.t
-(** Attach a client host with the given address to the segment. *)
+  t ->
+  ?biods:int ->
+  ?protocol:Nfsg_nfs.Client.protocol ->
+  ?metrics:Nfsg_stats.Metrics.t ->
+  string ->
+  Nfsg_nfs.Client.t
+(** Attach a client host with the given address to the segment. Its
+    RPC and NFS client instruments go to [metrics], by default the
+    world's registry. *)
 
 val root : t -> Nfsg_nfs.Proto.fh
 (** Root filehandle of the first (or only) volume. *)
-
-val roots : t -> Nfsg_nfs.Proto.fh list
-(** Per-volume root filehandles, fsid order. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** Run [f] as the driver process and drain the simulation. *)

@@ -1,20 +1,23 @@
-(* Double-run determinism: the writegather bench, run twice inside one
+(* Double-run determinism: each committed bench, run twice inside one
    process with the Reset registry fired in between, must render byte
    for byte the same JSON. This is the property the @lint rules exist
    to protect — any wall-clock read, unseeded RNG, hash-order leak or
-   stale process-global between runs shows up here as a byte diff. *)
+   stale process-global between runs shows up here as a byte diff.
+   The second pass runs with a shared metrics sink installed that
+   already holds one run's instruments, as [nfsgather --metrics-json]
+   leaves it after earlier experiments: a world that reads its own
+   instruments must not see the sink. *)
 
 open Nfsg_sim
 module Json = Nfsg_stats.Json
+module Rig = Nfsg_experiments.Rig
 
-(* Small enough to stay sub-second, large enough that gathering,
-   clustering and the metadata-flush ledger all engage. *)
-let bench_total = 512 * 1024
-
-let run_once () =
+let render ?sink bench =
   Reset.run_all ();
-  Json.to_string ~pretty:true
-    (Nfsg_experiments.Experiments.bench_writegather ~total:bench_total ())
+  Rig.set_metrics_sink sink;
+  Fun.protect
+    ~finally:(fun () -> Rig.set_metrics_sink None)
+    (fun () -> Json.to_string ~pretty:true (bench ()))
 
 let check_same_bytes first second =
   if not (String.equal first second) then begin
@@ -30,24 +33,29 @@ let check_same_bytes first second =
     Alcotest.failf "double-run JSON diverges at line %d:\n  run 1: %s\n  run 2: %s" line a b
   end
 
-let test_double_run () = check_same_bytes (run_once ()) (run_once ())
+let double_run bench =
+  let first = render bench in
+  let sink = Nfsg_stats.Metrics.create () in
+  ignore (render ~sink bench : string);
+  check_same_bytes first (render ~sink bench)
+
+(* Small enough to stay sub-second, large enough that gathering,
+   clustering and the metadata-flush ledger all engage. *)
+let bench_total = 512 * 1024
+
+let test_double_run () =
+  double_run (Nfsg_experiments.Experiments.bench_writegather ~total:bench_total)
 
 (* Same property for the committed scheduler-comparison artifact: three
    whole worlds per run (one per policy), byte for byte. *)
-let run_iosched_once () =
-  Reset.run_all ();
-  Json.to_string ~pretty:true (Nfsg_experiments.Iosched.bench_iosched ())
-
-let test_double_run_iosched () =
-  check_same_bytes (run_iosched_once ()) (run_iosched_once ())
+let test_double_run_iosched () = double_run Nfsg_experiments.Iosched.bench_iosched
 
 (* And for the committed redundancy artifact: six worlds per run (level
    x gathering), each with a member failure and an online rebuild. *)
-let run_raid_once () =
-  Reset.run_all ();
-  Json.to_string ~pretty:true (Nfsg_experiments.Raid.bench_raid ())
+let test_double_run_raid () = double_run Nfsg_experiments.Raid.bench_raid
 
-let test_double_run_raid () = check_same_bytes (run_raid_once ()) (run_raid_once ())
+(* And for the 3-export artifact: a clean world and its faulted twin. *)
+let test_double_run_multivolume () = double_run Nfsg_experiments.Multivolume.bench_multivolume
 
 (* The registry itself: exactly the state that must be process-wide.
    Configuration is passed as values, so it has no hook here. The
@@ -70,7 +78,7 @@ let long_op_dump threshold =
   let adjust spec =
     {
       spec with
-      Nfsg_experiments.Rig.long_op_threshold = threshold;
+      Rig.long_op_threshold = threshold;
       monitor_emit = Some (Buffer.add_string out);
     }
   in
@@ -100,6 +108,7 @@ let suite =
     Alcotest.test_case "writegather bench twice, same bytes" `Quick test_double_run;
     Alcotest.test_case "iosched bench twice, same bytes" `Quick test_double_run_iosched;
     Alcotest.test_case "raid bench twice, same bytes" `Quick test_double_run_raid;
+    Alcotest.test_case "multivolume bench twice, same bytes" `Quick test_double_run_multivolume;
     Alcotest.test_case "expected reset hooks registered" `Quick test_reset_hooks_present;
     Alcotest.test_case "adjust reaches every world" `Quick test_adjust_reaches_worlds;
     Alcotest.test_case "duplicate reset hook rejected" `Quick test_reset_duplicate_rejected;

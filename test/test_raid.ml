@@ -1,7 +1,8 @@
 (* The redundancy promises, asserted end to end: the chaos rig over a
    RAID-1 and a RAID-5 array must lose no acknowledged write across
    whole-member fail-stop, degraded crash/restart cycles and a crash
-   landing mid-rebuild — and replay the identical run bit for bit. *)
+   landing mid-rebuild — and replay the identical run bit for bit, down
+   to a digest pinned to the value the run has always produced. *)
 
 module Chaos = Nfsg_experiments.Chaos
 module Raid = Nfsg_experiments.Raid
@@ -44,7 +45,8 @@ let test_raid1_chaos () =
   let r = Chaos.run cfg in
   check_promises "raid1" r;
   let r2 = Chaos.run cfg in
-  Alcotest.(check string) "raid1: digest reproducible" r.Chaos.digest r2.Chaos.digest
+  Alcotest.(check string) "raid1: digest reproducible" r.Chaos.digest r2.Chaos.digest;
+  Alcotest.(check string) "raid1: pinned digest" "90ec28f36b30c7c532e7d8c5df0a5ee0" r.Chaos.digest
 
 let test_raid5_chaos () =
   let cfg = quick_cfg Stripe.Raid5 in
@@ -52,7 +54,8 @@ let test_raid5_chaos () =
   check_promises "raid5" r;
   Alcotest.(check bool) "raid5: reconstructed reads" true (r.Chaos.degraded_reads > 0);
   let r2 = Chaos.run cfg in
-  Alcotest.(check string) "raid5: digest reproducible" r.Chaos.digest r2.Chaos.digest
+  Alcotest.(check string) "raid5: digest reproducible" r.Chaos.digest r2.Chaos.digest;
+  Alcotest.(check string) "raid5: pinned digest" "838160f50ba2d0bf678503244a947d20" r.Chaos.digest
 
 (* The bench's reason to exist: gathered flushes turn RAID-5 partial
    read-modify-writes into full-stripe commits. *)

@@ -72,13 +72,16 @@ let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed
 (* [f ()] and the bytes it allocates, minor and major. Allocation
    counts are deterministic, unlike time; the minor collections bracket
    the call because [Gc.quick_stat] folds the minor heap's tally in
-   only at a collection. *)
+   only at a collection. A full major cycle first finishes the work
+   earlier tests left pending, which a slice inside the window would
+   otherwise count against [f]. *)
 let allocated_bytes f =
   let words () =
     Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
+  Gc.full_major ();
   let w0 = words () in
   let r = f () in
   let w1 = words () in
