@@ -137,7 +137,11 @@ let write_artifact (target, file, bench) =
 
 (* End to end: each run times world construction ([setup_s]) and the
    run itself; figures are medians of three runs. [events_per_sec]
-   stays run-only, so it tracks the engine alone. *)
+   stays run-only, so it tracks the engine alone. [alloc_words_per_event]
+   counts what construction and run allocate; it is reported, not gated:
+   counts are bit-stable only within one compiler version. *)
+type simspeed_run = { setup_s : float; run_s : float; events : int; achieved : float; words : float }
+
 let run_simspeed () =
   let module Rig = Nfsg_experiments.Rig in
   let module Laddis = Nfsg_workload.Laddis in
@@ -154,7 +158,15 @@ let run_simspeed () =
       seed = 7;
     }
   in
+  (* [Gc.quick_stat] folds the minor heap's tally in only at a
+     collection, so a minor collection brackets the window. *)
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
   let once () =
+    let w0 = allocated () in
     let t0 = Unix.gettimeofday () in
     let rig = Rig.make { Rig.default_spec with Rig.nfsds = 12 } in
     let t1 = Unix.gettimeofday () in
@@ -165,20 +177,28 @@ let run_simspeed () =
             ~root:(Rig.root rig) ~offered:170.0 lcfg)
     in
     let t2 = Unix.gettimeofday () in
-    (t1 -. t0, t2 -. t1, Engine.events_processed rig.Rig.eng, point.Laddis.achieved)
+    {
+      setup_s = t1 -. t0;
+      run_s = t2 -. t1;
+      events = Engine.events_processed rig.Rig.eng;
+      achieved = point.Laddis.achieved;
+      words = allocated () -. w0;
+    }
   in
   let runs = List.init 3 (fun _ -> once ()) in
   let median f = List.nth (List.sort compare (List.map f runs)) 1 in
-  let setup = median (fun (s, _, _, _) -> s) and run = median (fun (_, r, _, _) -> r) in
-  let total = median (fun (s, r, _, _) -> s +. r) in
-  let _, _, events, achieved = List.hd runs in
-  if List.exists (fun (_, _, e, a) -> e <> events || a <> achieved) runs then
+  let setup = median (fun r -> r.setup_s) and run = median (fun r -> r.run_s) in
+  let total = median (fun r -> r.setup_s +. r.run_s) in
+  let words = median (fun r -> r.words) in
+  let { events; achieved; _ } = List.hd runs in
+  if List.exists (fun r -> r.events <> events || r.achieved <> achieved) runs then
     failwith "simspeed: runs of the same world disagree";
   Printf.printf
     "simspeed: runs=3 events=%d setup_s=%.3f run_s=%.3f end_to_end_s=%.3f events_per_sec=%.0f \
-     achieved_ops_s=%.1f\n"
+     alloc_words_per_event=%.0f achieved_ops_s=%.1f\n"
     events setup run total
     (float_of_int events /. run)
+    (words /. float_of_int events)
     achieved
 
 (* {1 Bechamel microbenchmarks}

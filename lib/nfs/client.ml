@@ -309,17 +309,17 @@ let close f =
   end
 
 let read t fh ~off ~len =
-  let out = Buffer.create len in
-  let pos = ref off in
-  let eof = ref false in
-  while (not !eof) && !pos < off + len do
-    let chunk = Stdlib.min t.block_size (off + len - !pos) in
-    match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = !pos; count = chunk }) with
-    | Proto.RRead (Ok (_a, data)) ->
-        Buffer.add_bytes out data;
-        pos := !pos + Bytes.length data;
-        if Bytes.length data < chunk then eof := true
-    | Proto.RRead (Error st) -> raise (Error st)
-    | _ -> raise (Error Proto.NFSERR_IO)
-  done;
-  Buffer.to_bytes out
+  (* Decoded payloads are fresh copies: a read served by one READ hands
+     its payload back as is, and only a span of several is joined. *)
+  let rec go pos chunks =
+    if pos >= off + len then chunks
+    else
+      let chunk = Stdlib.min t.block_size (off + len - pos) in
+      match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = pos; count = chunk }) with
+      | Proto.RRead (Ok (_a, data)) ->
+          let n = Bytes.length data in
+          if n < chunk then data :: chunks else go (pos + n) (data :: chunks)
+      | Proto.RRead (Error st) -> raise (Error st)
+      | _ -> raise (Error Proto.NFSERR_IO)
+  in
+  match go off [] with [ data ] -> data | chunks -> Bytes.concat Bytes.empty (List.rev chunks)

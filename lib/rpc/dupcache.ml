@@ -8,11 +8,27 @@ type entry = { mutable state : state; mutable last_touch : Time.t }
 
 type verdict = New | In_progress | Replay of Bytes.t
 
+(* A completed entry stamped with one of its instants. Ordered by
+   instant, oldest first, with ties broken by (client, xid) so eviction
+   order never depends on hash-table iteration order. *)
+module Stamp = Set.Make (struct
+  type t = Time.t * string * int
+
+  let compare (t1, c1, x1) (t2, c2, x2) =
+    match Int.compare t1 t2 with
+    | 0 -> ( match String.compare c1 c2 with 0 -> Int.compare x1 x2 | c -> c)
+    | c -> c
+end)
+
 type t = {
   eng : Engine.t;
   capacity : int;
   ttl : Time.t;
   table : (string * int, entry) Hashtbl.t;
+  (* Both indexes hold exactly the completed entries; in-flight ones are
+     in neither, which is what pins them. *)
+  mutable by_done : Stamp.t;  (** keyed on completion time: expiry order *)
+  mutable by_touch : Stamp.t;  (** keyed on [last_touch]: eviction order *)
   m_drops : Metrics.counter;
   m_replays : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -29,6 +45,8 @@ let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
     capacity;
     ttl;
     table = Hashtbl.create 256;
+    by_done = Stamp.empty;
+    by_touch = Stamp.empty;
     m_drops = Metrics.counter m ~ns Names.drops;
     m_replays = Metrics.counter m ~ns Names.replays;
     m_evictions = Metrics.counter m ~ns Names.evictions;
@@ -42,6 +60,28 @@ let replays t = Metrics.value t.m_replays
 let evictions t = Metrics.value t.m_evictions
 let overflows t = Metrics.value t.m_overflows
 
+let index t (client, xid) e =
+  match e.state with
+  | Done (_, at) ->
+      t.by_done <- Stamp.add (at, client, xid) t.by_done;
+      t.by_touch <- Stamp.add (e.last_touch, client, xid) t.by_touch
+  | In_flight -> ()
+
+let unindex t (client, xid) e =
+  match e.state with
+  | Done (_, at) ->
+      t.by_done <- Stamp.remove (at, client, xid) t.by_done;
+      t.by_touch <- Stamp.remove (e.last_touch, client, xid) t.by_touch
+  | In_flight -> ()
+
+(* Drop the completed entry at the front of [set], the other index's
+   stamp included. *)
+let drop_min t set =
+  let _, client, xid = Stamp.min_elt set in
+  let key = (client, xid) in
+  unindex t key (Hashtbl.find t.table key);
+  Hashtbl.remove t.table key
+
 (* Make room for one insertion. First drop every completed entry whose
    TTL has lapsed (it can never be replayed again, only re-executed, so
    keeping it buys nothing); if the table is still at capacity, evict
@@ -50,44 +90,30 @@ let overflows t = Metrics.value t.m_overflows
    room, and the caller must not insert. *)
 let make_room t =
   let now = Engine.now t.eng in
-  let expired =
-    Hashtbl.fold
-      (fun k e acc ->
-        match e.state with
-        | Done (_, at) when now - at > t.ttl -> k :: acc
-        | Done _ | In_flight -> acc)
-      t.table []
+  let rec expire n =
+    match Stamp.min_elt_opt t.by_done with
+    | Some (at, _, _) when now - at > t.ttl ->
+        drop_min t t.by_done;
+        expire (n + 1)
+    | Some _ | None -> n
   in
-  List.iter (Hashtbl.remove t.table) expired;
-  Metrics.add t.m_expirations (List.length expired);
-  if Hashtbl.length t.table < t.capacity then true
-  else begin
-    (* Oldest first; ties broken by key so eviction order never depends
-       on hash-table iteration order. *)
-    let victims =
-      Hashtbl.fold
-        (fun k e acc -> match e.state with Done _ -> (e.last_touch, k) :: acc | In_flight -> acc)
-        t.table []
-      |> List.sort compare
-    in
-    let excess = Hashtbl.length t.table - t.capacity + 1 in
-    let evicted = ref 0 in
-    List.iteri
-      (fun i (_, k) ->
-        if i < excess then begin
-          Hashtbl.remove t.table k;
-          incr evicted
-        end)
-      victims;
-    Metrics.add t.m_evictions !evicted;
-    Hashtbl.length t.table < t.capacity
-  end
+  Metrics.add t.m_expirations (expire 0);
+  let rec evict n =
+    if Hashtbl.length t.table < t.capacity || Stamp.is_empty t.by_touch then n
+    else begin
+      drop_min t t.by_touch;
+      evict (n + 1)
+    end
+  in
+  Metrics.add t.m_evictions (evict 0);
+  Hashtbl.length t.table < t.capacity
 
 let admit t ~client ~xid =
   let key = (client, xid) in
   let now = Engine.now t.eng in
   match Hashtbl.find_opt t.table key with
   | Some e -> (
+      unindex t key e;
       e.last_touch <- now;
       match e.state with
       | In_flight ->
@@ -95,6 +121,7 @@ let admit t ~client ~xid =
           In_progress
       | Done (reply, at) ->
           if now - at <= t.ttl then begin
+            index t key e;
             Metrics.incr t.m_replays;
             Replay reply
           end
@@ -113,10 +140,19 @@ let admit t ~client ~xid =
       New
 
 let complete t ~client ~xid reply =
-  match Hashtbl.find_opt t.table (client, xid) with
+  let key = (client, xid) in
+  match Hashtbl.find_opt t.table key with
   | Some e ->
+      unindex t key e;
       e.state <- Done (reply, Engine.now t.eng);
-      e.last_touch <- Engine.now t.eng
+      e.last_touch <- Engine.now t.eng;
+      index t key e
   | None -> ()
 
-let forget t ~client ~xid = Hashtbl.remove t.table (client, xid)
+let forget t ~client ~xid =
+  let key = (client, xid) in
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
+      unindex t key e;
+      Hashtbl.remove t.table key
+  | None -> ()

@@ -29,7 +29,12 @@ val create :
     evicted; if every slot is in flight the new request executes
     {e uncached} (an overflow) rather than growing the table. [metrics]
     registers drop/replay/eviction/expiration/overflow counters under
-    namespace ["rpc.dupcache"] (private registry when omitted). *)
+    namespace ["rpc.dupcache"] (private registry when omitted).
+
+    Cost: {!admit}, {!complete} and {!forget} are O(log n) in the
+    number of entries, plus O(log n) for each entry an admission
+    expires or evicts. Completed entries are indexed by completion
+    time and by last touch, so neither step scans the table. *)
 
 val admit : t -> client:string -> xid:int -> verdict
 

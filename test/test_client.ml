@@ -114,6 +114,18 @@ let test_read_spans_blocks () =
       let expect = Bytes.sub (expect_pattern ~total ~seed:7) 5000 10_000 in
       Alcotest.(check bytes) "mid-file span" expect back)
 
+let test_read_short_at_eof () =
+  let rig = make ~config:cfg ~biods:4 () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "eof" in
+      let total = 10_000 in
+      let _ = write_file rig fh ~total () in
+      let expect = expect_pattern ~total ~seed:7 in
+      Alcotest.(check bytes) "span stops at EOF" expect (Client.read rig.client fh ~off:0 ~len:20_000);
+      Alcotest.(check bytes) "one short READ" (Bytes.sub expect 8192 (total - 8192))
+        (Client.read rig.client fh ~off:8192 ~len:8192);
+      Alcotest.(check int) "past EOF is empty" 0 (Bytes.length (Client.read rig.client fh ~off:12_000 ~len:100)))
+
 let suite =
   [
     Alcotest.test_case "full blocks go to the wire" `Quick test_full_blocks_go_to_wire;
@@ -123,4 +135,5 @@ let suite =
     Alcotest.test_case "ENOSPC surfaces at close" `Quick test_nospc_surfaces_at_close;
     Alcotest.test_case "small app writes coalesce" `Quick test_app_chunks_smaller_than_block;
     Alcotest.test_case "read spans blocks" `Quick test_read_spans_blocks;
+    Alcotest.test_case "read is short at EOF" `Quick test_read_short_at_eof;
   ]

@@ -137,6 +137,218 @@ let test_dupcache_overflow_all_in_flight () =
   Alcotest.(check int) "completed slot evicted" 1 (Dupcache.evictions dc);
   Alcotest.(check int) "still bounded" 2 (Dupcache.entries dc)
 
+(* The cache as it was before its indexes: every new request folds
+   the whole table for TTL expiries, then at capacity folds it again
+   and sorts [(last_touch, key)] to find one victim. Its code is kept
+   unchanged as the reference the indexed cache must agree with step
+   for step. *)
+module Ref_dupcache = struct
+  module Metrics = Nfsg_stats.Metrics
+  module Names = Nfsg_stats.Names
+
+  type state = In_flight | Done of Bytes.t * Time.t
+
+  type entry = { mutable state : state; mutable last_touch : Time.t }
+
+  type verdict = New | In_progress | Replay of Bytes.t
+
+  type t = {
+    eng : Engine.t;
+    capacity : int;
+    ttl : Time.t;
+    table : (string * int, entry) Hashtbl.t;
+    m_drops : Metrics.counter;
+    m_replays : Metrics.counter;
+    m_evictions : Metrics.counter;
+    m_expirations : Metrics.counter;
+    m_overflows : Metrics.counter;
+  }
+
+  let ns = Names.Ns.rpc_dupcache
+
+  let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
+    let m = match metrics with Some m -> m | None -> Metrics.create () in
+    {
+      eng;
+      capacity;
+      ttl;
+      table = Hashtbl.create 256;
+      m_drops = Metrics.counter m ~ns Names.drops;
+      m_replays = Metrics.counter m ~ns Names.replays;
+      m_evictions = Metrics.counter m ~ns Names.evictions;
+      m_expirations = Metrics.counter m ~ns Names.expirations;
+      m_overflows = Metrics.counter m ~ns Names.overflows;
+    }
+
+  let make_room t =
+    let now = Engine.now t.eng in
+    let expired =
+      Hashtbl.fold
+        (fun k e acc ->
+          match e.state with
+          | Done (_, at) when now - at > t.ttl -> k :: acc
+          | Done _ | In_flight -> acc)
+        t.table []
+    in
+    List.iter (Hashtbl.remove t.table) expired;
+    Metrics.add t.m_expirations (List.length expired);
+    if Hashtbl.length t.table < t.capacity then true
+    else begin
+      let victims =
+        Hashtbl.fold
+          (fun k e acc -> match e.state with Done _ -> (e.last_touch, k) :: acc | In_flight -> acc)
+          t.table []
+        |> List.sort compare
+      in
+      let excess = Hashtbl.length t.table - t.capacity + 1 in
+      let evicted = ref 0 in
+      List.iteri
+        (fun i (_, k) ->
+          if i < excess then begin
+            Hashtbl.remove t.table k;
+            incr evicted
+          end)
+        victims;
+      Metrics.add t.m_evictions !evicted;
+      Hashtbl.length t.table < t.capacity
+    end
+
+  let admit t ~client ~xid =
+    let key = (client, xid) in
+    let now = Engine.now t.eng in
+    match Hashtbl.find_opt t.table key with
+    | Some e -> (
+        e.last_touch <- now;
+        match e.state with
+        | In_flight ->
+            Metrics.incr t.m_drops;
+            In_progress
+        | Done (reply, at) ->
+            if now - at <= t.ttl then begin
+              Metrics.incr t.m_replays;
+              Replay reply
+            end
+            else begin
+              e.state <- In_flight;
+              New
+            end)
+    | None ->
+        if make_room t then
+          Hashtbl.replace t.table key { state = In_flight; last_touch = now }
+        else
+          Metrics.incr t.m_overflows;
+        New
+
+  let complete t ~client ~xid reply =
+    match Hashtbl.find_opt t.table (client, xid) with
+    | Some e ->
+        e.state <- Done (reply, Engine.now t.eng);
+        e.last_touch <- Engine.now t.eng
+    | None -> ()
+
+  let forget t ~client ~xid = Hashtbl.remove t.table (client, xid)
+end
+
+let prop_dupcache_matches_reference =
+  let open QCheck.Gen in
+  (* Client names not listed in string order, few xids so keys
+     collide, and zero-length steps so entries tie at one instant:
+     eviction then falls to the key order, not to arrival order. *)
+  let clients = [| "mallory"; "bob"; "zed"; "alice" |] in
+  let key = pair (int_bound (Array.length clients - 1)) (int_bound 3) in
+  let op_gen =
+    frequency
+      [
+        (4, map (fun k -> `Admit k) key);
+        (3, map (fun k -> `Complete k) key);
+        (1, map (fun k -> `Forget k) key);
+        (3, map (fun ms -> `Step ms) (frequencyl [ (2, 0); (1, 1); (1, 2); (1, 3) ]));
+      ]
+  in
+  let print_op = function
+    | `Admit (c, x) -> Printf.sprintf "admit %s/%d" clients.(c) x
+    | `Complete (c, x) -> Printf.sprintf "complete %s/%d" clients.(c) x
+    | `Forget (c, x) -> Printf.sprintf "forget %s/%d" clients.(c) x
+    | `Step ms -> Printf.sprintf "step %dms" ms
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (cap, ops) -> Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_op ops)))
+      (pair (int_range 1 8) (list_size (1 -- 80) op_gen))
+  in
+  QCheck.Test.make ~name:"indexed dupcache matches the fold+sort reference" ~count:1000 arb
+    (fun (capacity, ops) ->
+      let eng = Engine.create () in
+      let ttl = Time.ms 4 in
+      let m = Nfsg_stats.Metrics.create () in
+      let dc = Dupcache.create eng ~capacity ~ttl ~metrics:m () in
+      let r = Ref_dupcache.create eng ~capacity ~ttl () in
+      let fail step fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) step in
+      let show = function
+        | Dupcache.New -> "New"
+        | Dupcache.In_progress -> "In_progress"
+        | Dupcache.Replay b -> "Replay " ^ Bytes.to_string b
+      in
+      let show_ref = function
+        | Ref_dupcache.New -> "New"
+        | Ref_dupcache.In_progress -> "In_progress"
+        | Ref_dupcache.Replay b -> "Replay " ^ Bytes.to_string b
+      in
+      let check step what got want = if got <> want then fail step "%s %d, reference %d" what got want in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | `Admit (c, xid) ->
+              let client = clients.(c) in
+              let got = show (Dupcache.admit dc ~client ~xid) in
+              let want = show_ref (Ref_dupcache.admit r ~client ~xid) in
+              if got <> want then fail step "admit verdict %s, reference %s" got want
+          | `Complete (c, xid) ->
+              let client = clients.(c) in
+              let reply () = Bytes.of_string (Printf.sprintf "reply-%d" step) in
+              Dupcache.complete dc ~client ~xid (reply ());
+              Ref_dupcache.complete r ~client ~xid (reply ())
+          | `Forget (c, xid) ->
+              Dupcache.forget dc ~client:clients.(c) ~xid;
+              Ref_dupcache.forget r ~client:clients.(c) ~xid
+          | `Step ms -> Engine.run ~until:(Engine.now eng + Time.ms ms) eng);
+          let value = Nfsg_stats.Metrics.value in
+          check step "entries" (Dupcache.entries dc) (Hashtbl.length r.Ref_dupcache.table);
+          check step "drops" (Dupcache.drops dc) (value r.Ref_dupcache.m_drops);
+          check step "replays" (Dupcache.replays dc) (value r.Ref_dupcache.m_replays);
+          check step "evictions" (Dupcache.evictions dc) (value r.Ref_dupcache.m_evictions);
+          check step "expirations"
+            (Option.value ~default:0 (Nfsg_stats.Metrics.find_counter m ~ns:"rpc.dupcache" "expirations"))
+            (value r.Ref_dupcache.m_expirations);
+          check step "overflows" (Dupcache.overflows dc) (value r.Ref_dupcache.m_overflows))
+        ops;
+      true)
+
+let test_dupcache_admit_allocation () =
+  (* At capacity every new request evicts one entry. Sorting the whole
+     table for it cost ~18,600 words a request at 512 entries; the
+     indexes cost a few hundred. *)
+  let eng = Engine.create () in
+  let dc = Dupcache.create eng ~capacity:512 () in
+  let reply = Bytes.of_string "reply" in
+  let pair xid =
+    ignore (Dupcache.admit dc ~client:"c" ~xid);
+    Dupcache.complete dc ~client:"c" ~xid reply
+  in
+  for xid = 1 to 512 do
+    pair xid
+  done;
+  let pairs = 10_000 in
+  let (), bytes =
+    Testbed.allocated_bytes (fun () ->
+        for xid = 513 to 512 + pairs do
+          pair xid
+        done)
+  in
+  Alcotest.(check int) "steady state evicts one per request" pairs (Dupcache.evictions dc);
+  let words = bytes /. float_of_int (Sys.word_size / 8) /. float_of_int pairs in
+  if words > 1000. then Alcotest.failf "%.0f words per admit+complete at capacity 512" words
+
 (* {1 svc + rpc_client end to end (echo server)} *)
 
 let echo_rig ?(loss = 0.0) ?(with_dupcache = false) () =
@@ -329,6 +541,8 @@ let suite =
     Alcotest.test_case "dupcache evicts the coldest entry" `Quick test_dupcache_evicts_least_recently_touched;
     Alcotest.test_case "dupcache drops expired before evicting" `Quick test_dupcache_ttl_eager_drop;
     Alcotest.test_case "dupcache overflow with all slots in flight" `Quick test_dupcache_overflow_all_in_flight;
+    QCheck_alcotest.to_alcotest prop_dupcache_matches_reference;
+    Alcotest.test_case "dupcache admit allocates O(log n)" `Quick test_dupcache_admit_allocation;
     Alcotest.test_case "echo roundtrip" `Quick test_echo_roundtrip;
     Alcotest.test_case "retransmission survives loss" `Quick test_retransmission_on_loss;
     Alcotest.test_case "dupcache stops re-execution" `Quick test_dupcache_suppresses_reexecution;
