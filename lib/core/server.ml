@@ -30,14 +30,6 @@ let default_config =
     long_op_threshold = None;
   }
 
-(* Write verifier (NFSv3): changes across server incarnations so a
-   client holding unstable data can detect that a reboot may have lost
-   it and must rewrite. One bump covers every volume of the
-   incarnation — it identifies the server boot, not a disk. A plain
-   boot counter keeps runs deterministic. *)
-let boot_counter = ref 0
-let () = Reset.register ~name:"server.boot_counter" (fun () -> boot_counter := 0)
-
 type t = {
   eng : Engine.t;
   segment : Nfsg_net.Segment.t;
@@ -48,6 +40,9 @@ type t = {
   sock : Nfsg_net.Socket.t;
   cpu : Resource.t;
   verf : int;
+      (** NFSv3 write verifier, the boot count of this lineage. One
+          count covers every volume: it identifies the server boot,
+          not a disk. *)
   op_counts : (int, int) Hashtbl.t;
   (* Read-ahead streams are per (client, file): the same boot file read
      concurrently by the whole fleet must not look like one thrashing
@@ -512,8 +507,9 @@ let make_dispatch t =
 
 (* The assembly shared by the fresh-format and recovery paths.
    [vols] carries, per export, its spec, the vgen to preserve (or
-   [None] for a fresh one) and whether to format. *)
-let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
+   [None] for a fresh one) and whether to format; [verf] is the boot
+   count. *)
+let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vols =
   let metrics = match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -535,7 +531,6 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
           ?trace ~metrics ~mkfs ~wl_config:config.write_layer spec)
       vols
   in
-  incr boot_counter;
   let journeys =
     Nfsg_stats.Journey.create eng ~metrics ?threshold:config.long_op_threshold
       ?event_trace:trace ()
@@ -550,7 +545,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
       legacy_ns;
       sock;
       cpu;
-      verf = !boot_counter;
+      verf;
       op_counts = Hashtbl.create 16;
       stream_ids = Hashtbl.create 16;
       trace;
@@ -579,13 +574,13 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
 
 let make_exports eng ~segment ~addr ?trace ?metrics ?(mkfs = true) config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false config
+  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~verf:1 config
     (List.map (fun spec -> (spec, None, mkfs)) specs)
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?trace ?metrics ?(mkfs = true) config =
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true config
+  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~verf:1 config
     [
       ( {
           Volume.export = "/export";
@@ -612,7 +607,7 @@ let recover t =
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
   make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
-    ~legacy_ns:t.legacy_ns t.config
+    ~legacy_ns:t.legacy_ns ~verf:(t.verf + 1) t.config
     (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v), false)) t.volumes)
 
 let restart = recover

@@ -97,9 +97,11 @@ val socket : t -> Nfsg_net.Socket.t
 val addr : t -> string
 
 val write_verifier : t -> int
-(** The NFSv3 write verifier of this server incarnation; {!recover}
-    yields a different one, which is how v3 clients learn that
-    uncommitted data may have been lost. *)
+(** The NFSv3 write verifier of this server incarnation: its boot count
+    in its lineage, 1 for a server from {!make} or {!make_exports} and
+    one more for each {!recover}. A change is how v3 clients learn that
+    uncommitted data may have been lost. Worlds are independent, so two
+    fresh servers report the same verifier. *)
 
 val op_count : t -> int -> int
 (** Completed requests for an NFS procedure number. *)

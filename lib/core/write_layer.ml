@@ -161,7 +161,7 @@ let learned_solo_clients t =
   (* nfslint: allow D002 pure count; integer addition is commutative so the fold order cannot show *)
   Hashtbl.fold (fun _ l n -> if l.samples >= 8 && l.score < 0.25 then n + 1 else n) t.clients 0
 
-let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name ()) event | None -> ()
+let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name t.eng) event | None -> ()
 
 let fattr_of_vnode t v =
   let a = Vfs.vop_getattr v in

@@ -1,5 +1,5 @@
-(* Tagged asynchronous I/O requests: the submission currency of the
-   storage stack. See io.mli for the contract. *)
+(* Asynchronous I/O requests: the submission currency of the storage
+   stack. See io.mli for the contract. *)
 
 open Nfsg_sim
 
@@ -13,50 +13,19 @@ type req = {
   len : int;
   buf : Bytes.t;
   class_ : class_;
-  tag : int;
   done_ : unit Ivar.t;
   mutable error : exn option;
 }
 
-type item = Req of req | Barrier of { tag : int; done_ : unit Ivar.t }
+type item = Req of req | Barrier of { done_ : unit Ivar.t }
 
-let next_tag = ref 0
+let write_req ~class_ ~off data =
+  { op = Write; off; len = Bytes.length data; buf = data; class_; done_ = Ivar.create (); error = None }
 
-let () = Reset.register ~name:"io.next_tag" (fun () -> next_tag := 0)
+let read_req ?(class_ = `Read) ~off ~len () =
+  { op = Read; off; len; buf = Bytes.create len; class_; done_ = Ivar.create (); error = None }
 
-let fresh_tag () =
-  incr next_tag;
-  !next_tag
-
-let write_req ?tag ~class_ ~off data =
-  let tag = match tag with Some t -> t | None -> fresh_tag () in
-  {
-    op = Write;
-    off;
-    len = Bytes.length data;
-    buf = data;
-    class_;
-    tag;
-    done_ = Ivar.create ();
-    error = None;
-  }
-
-let read_req ?tag ?(class_ = `Read) ~off ~len () =
-  let tag = match tag with Some t -> t | None -> fresh_tag () in
-  {
-    op = Read;
-    off;
-    len;
-    buf = Bytes.create len;
-    class_;
-    tag;
-    done_ = Ivar.create ();
-    error = None;
-  }
-
-let barrier ?tag () =
-  let tag = match tag with Some t -> t | None -> fresh_tag () in
-  Barrier { tag; done_ = Ivar.create () }
+let barrier () = Barrier { done_ = Ivar.create () }
 
 let complete r = Ivar.fill r.done_ ()
 

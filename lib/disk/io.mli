@@ -1,5 +1,5 @@
-(** Tagged asynchronous I/O requests — the submission currency of the
-    storage stack.
+(** Asynchronous I/O requests — the submission currency of the storage
+    stack.
 
     A {!req} describes one transfer; a batch of {!item}s handed to a
     device's [submit] is the unit of scheduling. Submission never
@@ -55,25 +55,21 @@ type req = {
       (** [Write]: the data, owned by the request (snapshot at build
           time); [Read]: the destination buffer the device fills. *)
   class_ : class_;
-  tag : int;  (** unique id, for tracing and targeted fault injection *)
   done_ : unit Ivar.t;  (** filled when stable or failed *)
   mutable error : exn option;  (** set before [done_] on failure *)
 }
 
-type item = Req of req | Barrier of { tag : int; done_ : unit Ivar.t }
+type item = Req of req | Barrier of { done_ : unit Ivar.t }
 
-val fresh_tag : unit -> int
-(** Process-unique, monotonically increasing. *)
-
-val write_req : ?tag:int -> class_:class_ -> off:int -> Bytes.t -> req
+val write_req : class_:class_ -> off:int -> Bytes.t -> req
 (** The bytes become the request's buffer without copying: pass a
     snapshot the caller will not mutate. *)
 
-val read_req : ?tag:int -> ?class_:class_ -> off:int -> len:int -> unit -> req
+val read_req : ?class_:class_ -> off:int -> len:int -> unit -> req
 (** [class_] defaults to [`Read]; rebuild resilver reads pass
     [`Bg_drain] so they yield to foreground traffic in the queue. *)
 
-val barrier : ?tag:int -> unit -> item
+val barrier : unit -> item
 
 val complete : req -> unit
 (** Fill [done_] successfully. Device side only. *)

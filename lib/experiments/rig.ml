@@ -71,8 +71,8 @@ type t = {
 (* Optional shared sink: lets a CLI flag collect the instruments of
    every world an experiment builds into one registry without threading
    a parameter through every table/figure function. *)
+(* nfslint: allow S001 a registry parked across the worlds of a whole experiment on purpose; every caller clears it when done *)
 let sink : Metrics.t option ref = ref None
-let () = Reset.register ~name:"rig.metrics_sink" (fun () -> sink := None)
 let set_metrics_sink m = sink := m
 let metrics t = t.metrics
 

@@ -45,10 +45,6 @@ val fail_next : ?n:int -> t -> unit
 (** Fail the next [n] (default 1) read/write transactions with
     [Io_error]. Cumulative with pending arms. *)
 
-val fail_tag : t -> int -> unit
-(** Fail the request carrying this {!Nfsg_disk.Io} tag when it is
-    submitted — surgical injection into one transfer of a batch. *)
-
 val fail_class : ?n:int -> t -> Nfsg_disk.Io.class_ -> unit
 (** Fail the next [n] (default 1) requests of the given class — e.g.
     hit only the NVRAM drain ([`Bg_drain]) or only gathered cluster

@@ -6,7 +6,7 @@ open Effect.Deep
    continuation in an inline record instead of wrapping it in a
    closure keeps the Delay/Suspend/Yield fast path down to one small
    allocation per event; the run loop below is the single place that
-   restores [current_name] and the suspended count, rather than every
+   restores [current] and the suspended count, rather than every
    handler building a closure to do it. *)
 type ev =
   | Thunk of (unit -> unit)
@@ -24,6 +24,7 @@ type t = {
   events : ev Heap.t;
   mutable suspended : int;
   mutable processed : int;
+  mutable current : string;  (** name of the running process, "?" before any *)
 }
 
 exception Not_in_process
@@ -33,12 +34,10 @@ type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Yield : unit Effect.t
 
-let current_name = ref "?"
-let self_name () = !current_name
-let () = Reset.register ~name:"engine.current_name" (fun () -> current_name := "?")
-
 let create () =
-  { clock = Time.zero; seq = 0; events = Heap.create (); suspended = 0; processed = 0 }
+  { clock = Time.zero; seq = 0; events = Heap.create (); suspended = 0; processed = 0; current = "?" }
+
+let self_name t = t.current
 
 let now t = t.clock
 let suspended_count t = t.suspended
@@ -107,7 +106,7 @@ let spawn t ?(name = "proc") f =
   push t
     (Thunk
        (fun () ->
-         current_name := name;
+         t.current <- name;
          match_with f () handler))
 
 let run ?until t =
@@ -125,7 +124,7 @@ let run ?until t =
     | Thunk f -> f ()
     | Resume { name; k; v; parked } ->
         if parked then t.suspended <- t.suspended - 1;
-        current_name := name;
+        t.current <- name;
         continue k v
   done;
   match until with Some u when t.clock < u -> t.clock <- u | Some _ | None -> ()

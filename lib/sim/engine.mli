@@ -72,8 +72,10 @@ val suspend : (('a -> unit) -> unit) -> 'a
 val yield : unit -> unit
 (** Re-queue the calling process behind other events at this instant. *)
 
-val self_name : unit -> string
-(** Name of the calling process ("?" outside of one). *)
+val self_name : t -> string
+(** Name of the process this world last started or resumed ("?"
+    before any). A plain callback sees the name of the process that
+    ran before it. *)
 
 val yield_primitives : (string * string * [ `Park | `Delay ]) list
 (** The canonical list of blocking primitives, as (module, function,

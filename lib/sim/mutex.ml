@@ -1,26 +1,27 @@
 type t = {
+  eng : Engine.t;
   name : string;
   mutable holder : string option;
   waiting : (unit -> unit) Queue.t;
 }
 
-let create ?(name = "mutex") () = { name; holder = None; waiting = Queue.create () }
+let create eng ?(name = "mutex") () = { eng; name; holder = None; waiting = Queue.create () }
 let locked m = m.holder <> None
 let holder m = m.holder
 let contenders m = Queue.length m.waiting
 
 let lock m =
   match m.holder with
-  | None -> m.holder <- Some (Engine.self_name ())
+  | None -> m.holder <- Some (Engine.self_name m.eng)
   | Some _ ->
       Engine.suspend (fun wake -> Queue.add (fun () -> wake ()) m.waiting);
       (* The unlocker transferred ownership before waking us. *)
-      m.holder <- Some (Engine.self_name ())
+      m.holder <- Some (Engine.self_name m.eng)
 
 let try_lock m =
   match m.holder with
   | None ->
-      m.holder <- Some (Engine.self_name ());
+      m.holder <- Some (Engine.self_name m.eng);
       true
   | Some _ -> false
 
@@ -28,9 +29,9 @@ let unlock m =
   (match m.holder with
   | None -> invalid_arg (m.name ^ ": unlock of a free mutex")
   | Some h ->
-      if h <> Engine.self_name () then
+      if h <> Engine.self_name m.eng then
         invalid_arg
-          (Printf.sprintf "%s: unlock by %s but held by %s" m.name (Engine.self_name ()) h));
+          (Printf.sprintf "%s: unlock by %s but held by %s" m.name (Engine.self_name m.eng) h));
   match Queue.take_opt m.waiting with
   | None -> m.holder <- None
   | Some wake ->

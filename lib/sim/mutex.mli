@@ -6,7 +6,8 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : Engine.t -> ?name:string -> unit -> t
+(** Holders are named after the processes of this world. *)
 
 val lock : t -> unit
 (** Block until the lock is acquired. Not reentrant: a process locking

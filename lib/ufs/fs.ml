@@ -221,7 +221,7 @@ let load_dinode_stable t inum =
   let blk, off = Layout.inode_block t.sb inum in
   Layout.decode_dinode (t.dev.Device.stable_read ~off:((blk * bsize t) + off) ~len:Layout.inode_size)
 
-let incore_of_dinode inum (d : Layout.dinode) =
+let incore_of_dinode eng inum (d : Layout.dinode) =
   {
     inum;
     ftype = d.Layout.ftype;
@@ -236,7 +236,7 @@ let incore_of_dinode inum (d : Layout.dinode) =
     gen = d.Layout.gen;
     meta_dirty = `Clean;
     dirty_indirects = [];
-    lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) ();
+    lock = Mutex.create eng ~name:(Printf.sprintf "vnode-%d" inum) ();
   }
 
 let dinode_of_incore (i : inode) =
@@ -308,7 +308,7 @@ let iget t ~inum ~gen =
       (* Decode from the (prewarmed) inode-table block. *)
       let blk, off = Layout.inode_block t.sb inum in
       let buf = Buffer_cache.get t.bcache blk in
-      let i = incore_of_dinode inum (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)) in
+      let i = incore_of_dinode t.eng inum (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)) in
       Hashtbl.replace t.incore inum i;
       i
 
@@ -713,7 +713,7 @@ let ialloc t ftype =
       gen = t.gens.(inum);
       meta_dirty = `Dirty;
       dirty_indirects = [];
-      lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) ();
+      lock = Mutex.create t.eng ~name:(Printf.sprintf "vnode-%d" inum) ();
     }
   in
   Hashtbl.replace t.incore inum ino;

@@ -4,7 +4,6 @@
 
 module Bs = Nfsg_experiments.Bootstorm
 module Json = Nfsg_stats.Json
-module Reset = Nfsg_sim.Reset
 
 let test_ladder () =
   Alcotest.(check (list int)) "cap of one" [ 1 ] (Bs.ladder 1);
@@ -14,7 +13,6 @@ let test_ladder () =
 (* The real bench, shrunk to a two-rung ladder on the read-ahead side
    only, passed as values the way the nfsgather flags pass them. *)
 let run_once () =
-  Reset.run_all ();
   Bs.bench_bootstorm
     ~sweep:{ Bs.default_sweep with Bs.clients_max = 2 }
     ~variants:(List.filter (fun v -> v.Bs.readahead <> None) Bs.variants)
@@ -22,7 +20,7 @@ let run_once () =
 
 let test_double_run () =
   let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across Reset.run_all" true
+  Alcotest.(check bool) "byte-identical across back-to-back runs" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
   (* And the restriction really took: one config, two rungs. *)
   let configs = Option.bind (Json.member "configs" first) Json.to_list in

@@ -1,5 +1,5 @@
-(* Double-run determinism: each committed bench, run twice inside one
-   process with the Reset registry fired in between, must render byte
+(* Double-run determinism: each committed bench, run twice back to back
+   inside one process with nothing reset in between, must render byte
    for byte the same JSON. This is the property the @lint rules exist
    to protect — any wall-clock read, unseeded RNG, hash-order leak or
    stale process-global between runs shows up here as a byte diff.
@@ -13,7 +13,6 @@ module Json = Nfsg_stats.Json
 module Rig = Nfsg_experiments.Rig
 
 let render ?sink bench =
-  Reset.run_all ();
   Rig.set_metrics_sink sink;
   Fun.protect
     ~finally:(fun () -> Rig.set_metrics_sink None)
@@ -57,23 +56,11 @@ let test_double_run_raid () = double_run Nfsg_experiments.Raid.bench_raid
 (* And for the 3-export artifact: a clean world and its faulted twin. *)
 let test_double_run_multivolume () = double_run Nfsg_experiments.Multivolume.bench_multivolume
 
-(* The registry itself: exactly the state that must be process-wide.
-   Configuration is passed as values, so it has no hook here. The
-   probes the tests below register are left out. *)
-let test_reset_hooks_present () =
-  let names =
-    List.filter (fun n -> not (String.starts_with ~prefix:"test." n)) (Reset.names ())
-  in
-  Alcotest.(check (list string)) "registered hooks"
-    [ "engine.current_name"; "io.next_tag"; "rig.metrics_sink"; "server.boot_counter" ]
-    names
-
 (* Configuration passed as a value reaches every world an experiment
    builds: a long-op threshold set through [adjust] arms journey
    tracing in each server, and the rig dumps what the ring trapped
    through the emit callback. Without the threshold, nothing. *)
 let long_op_dump threshold =
-  Reset.run_all ();
   let out = Buffer.create 1024 in
   let adjust spec =
     {
@@ -91,26 +78,11 @@ let test_adjust_reaches_worlds () =
     (String.starts_with ~prefix:"long-op records:\n" armed);
   Alcotest.(check string) "nothing emitted without a threshold" "" (long_op_dump None)
 
-let test_reset_duplicate_rejected () =
-  Reset.register ~name:"test.determinism.dup" (fun () -> ());
-  Alcotest.check_raises "duplicate hook name"
-    (Invalid_argument "Reset.register: duplicate hook test.determinism.dup") (fun () ->
-      Reset.register ~name:"test.determinism.dup" (fun () -> ()))
-
-let test_reset_runs_hooks () =
-  let hit = ref false in
-  Reset.register ~name:"test.determinism.probe" (fun () -> hit := true);
-  Reset.run_all ();
-  Alcotest.(check bool) "hook ran" true !hit
-
 let suite =
   [
     Alcotest.test_case "writegather bench twice, same bytes" `Quick test_double_run;
     Alcotest.test_case "iosched bench twice, same bytes" `Quick test_double_run_iosched;
     Alcotest.test_case "raid bench twice, same bytes" `Quick test_double_run_raid;
     Alcotest.test_case "multivolume bench twice, same bytes" `Quick test_double_run_multivolume;
-    Alcotest.test_case "expected reset hooks registered" `Quick test_reset_hooks_present;
     Alcotest.test_case "adjust reaches every world" `Quick test_adjust_reaches_worlds;
-    Alcotest.test_case "duplicate reset hook rejected" `Quick test_reset_duplicate_rejected;
-    Alcotest.test_case "run_all fires hooks" `Quick test_reset_runs_hooks;
   ]

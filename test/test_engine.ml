@@ -162,6 +162,17 @@ let test_nested_spawn () =
   Engine.run eng;
   Alcotest.(check int) "all 50 ran" 50 !depth
 
+(* The running process's name belongs to its world: a fresh engine
+   knows nothing of the processes another engine ran before it. *)
+let test_process_names_per_engine () =
+  let a = Engine.create () in
+  let seen = ref "" in
+  Engine.spawn a ~name:"a" (fun () -> seen := Engine.self_name a);
+  Engine.run a;
+  Alcotest.(check string) "a process sees its own name" "a" !seen;
+  let b = Engine.create () in
+  Alcotest.(check string) "fresh engine has run no process" "?" (Engine.self_name b)
+
 let suite =
   [
     Alcotest.test_case "clock starts at zero" `Quick test_clock_starts_at_zero;
@@ -180,4 +191,5 @@ let suite =
     Alcotest.test_case "suspended_count tracks parked procs" `Quick test_suspended_count;
     Alcotest.test_case "yield requeues behind peers" `Quick test_yield_requeues;
     Alcotest.test_case "spawn from inside a process" `Quick test_nested_spawn;
+    Alcotest.test_case "process names are per engine" `Quick test_process_names_per_engine;
   ]

@@ -41,8 +41,8 @@ let test_grid_override_validates () =
 
    The real sweep, shrunk: two configurations, two rungs, short
    windows. Same property as the other committed artifacts — two runs
-   inside one process with Reset fired in between must render byte for
-   byte the same JSON. The grid restriction and ladder caps are passed
+   back to back inside one process must render byte for byte the same
+   JSON. The grid restriction and ladder caps are passed
    as values, the same path the nfsgather flags use. *)
 
 let tiny_sweep =
@@ -56,12 +56,11 @@ let tiny_sweep =
   }
 
 let run_once () =
-  Reset.run_all ();
   Lc.bench_laddis_curve ~sweep:tiny_sweep ~grid:(Lc.grid_of_labels [ "baseline"; "gather" ]) ()
 
 let test_double_run () =
   let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across Reset.run_all" true
+  Alcotest.(check bool) "byte-identical across back-to-back runs" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
   (* And the restriction really took. *)
   let labels =

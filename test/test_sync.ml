@@ -115,7 +115,7 @@ let test_mutex_exclusion () =
   let inside = ref 0 and max_inside = ref 0 in
   ignore
     (sim (fun eng ->
-         let m = Mutex.create () in
+         let m = Mutex.create eng () in
          for _ = 1 to 5 do
            Engine.spawn eng (fun () ->
                Mutex.with_lock m (fun () ->
@@ -130,7 +130,7 @@ let test_mutex_fifo () =
   let order = ref [] in
   ignore
     (sim (fun eng ->
-         let m = Mutex.create () in
+         let m = Mutex.create eng () in
          Engine.spawn eng (fun () ->
              Mutex.with_lock m (fun () -> Engine.delay (Time.ms 5)));
          for i = 1 to 3 do
@@ -150,7 +150,7 @@ let test_with_lock_releases_on_exception () =
   let reacquired = ref false in
   ignore
     (sim (fun eng ->
-         let m = Mutex.create () in
+         let m = Mutex.create eng () in
          Engine.spawn eng (fun () ->
              (match Mutex.with_lock m (fun () -> raise Unexpected) with
              | () -> ()
@@ -179,7 +179,7 @@ let test_mutex_unlock_by_stranger () =
   let failed = ref false in
   ignore
     (sim (fun eng ->
-         let m = Mutex.create ~name:"vnode" () in
+         let m = Mutex.create eng ~name:"vnode" () in
          Engine.spawn eng ~name:"owner" (fun () ->
              Mutex.lock m;
              Engine.delay (Time.ms 10);
@@ -192,7 +192,7 @@ let test_mutex_unlock_by_stranger () =
 let test_try_lock () =
   ignore
     (sim (fun eng ->
-         let m = Mutex.create () in
+         let m = Mutex.create eng () in
          Engine.spawn eng (fun () ->
              Alcotest.(check bool) "first try succeeds" true (Mutex.try_lock m);
              Alcotest.(check bool) "second try fails" false (Mutex.try_lock m);

@@ -137,6 +137,22 @@ let test_v3_verifier_changes_across_reboot () =
   let revived = Server.recover rig.server in
   Alcotest.(check bool) "verifier moved" true (Server.write_verifier revived <> verf1)
 
+(* The verifier is the boot count of one server lineage: worlds built
+   one after another agree on it, and each reboot moves it by one. *)
+let test_v3_verifier_follows_lineage () =
+  let verf = Server.write_verifier in
+  let a = make () in
+  let b = make () in
+  Alcotest.(check int) "fresh worlds agree" (verf a.server) (verf b.server);
+  let reboot server =
+    Server.crash server;
+    Server.recover server
+  in
+  let once = reboot b.server in
+  let twice = reboot once in
+  Alcotest.(check int) "first recover adds one" (verf b.server + 1) (verf once);
+  Alcotest.(check int) "second recover adds one" (verf once + 1) (verf twice)
+
 let test_v3_client_detects_reboot () =
   (* Write unstable, reboot the server under the client, write more and
      commit: the client must raise Verifier_changed rather than
@@ -280,6 +296,7 @@ let suite =
     Alcotest.test_case "unstable until COMMIT" `Quick test_v3_unstable_is_volatile_until_commit;
     Alcotest.test_case "COMMIT makes data durable" `Quick test_v3_commit_durability;
     Alcotest.test_case "verifier changes across reboot" `Quick test_v3_verifier_changes_across_reboot;
+    Alcotest.test_case "verifier follows its server lineage" `Quick test_v3_verifier_follows_lineage;
     Alcotest.test_case "client detects server reboot" `Quick test_v3_client_detects_reboot;
     Alcotest.test_case "v3 File_sync gathers with v2" `Quick test_v3_file_sync_writes_gather_with_v2;
     Alcotest.test_case "v3 beats v2 on a standard server" `Quick test_v3_faster_than_v2_standard;
