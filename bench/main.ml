@@ -238,11 +238,9 @@ let micro_tests () =
                { fh = { Nfsg_nfs.Proto.fsid = 1; vgen = 1; inum = 3; gen = 1 }; offset = 0;
                  data = Nfsg_rpc.Xdr.view_of_bytes data }
            in
-           let body = Nfsg_nfs.Proto.encode_args args in
            let call =
-             Nfsg_rpc.Rpc.encode_call
-               { Nfsg_rpc.Rpc.xid = 1; prog = Nfsg_rpc.Rpc.nfs_program; vers = 2; proc = 8;
-                 body = Nfsg_rpc.Xdr.view_of_bytes body }
+             Nfsg_rpc.Rpc.frame_call (Nfsg_nfs.Proto.args_body args) ~xid:1
+               ~prog:Nfsg_rpc.Rpc.nfs_program ~vers:2 ~proc:8
            in
            ignore (Nfsg_rpc.Rpc.decode_call call)))
   in

@@ -43,6 +43,8 @@ type t = {
       (** NFSv3 write verifier, the boot count of this lineage. One
           count covers every volume: it identifies the server boot,
           not a disk. *)
+  dupcache : Dupcache.t option;
+      (** held here so a crash can free it: replies are kernel memory *)
   op_counts : (int, int) Hashtbl.t;
   (* Read-ahead streams are per (client, file): the same boot file read
      concurrently by the whole fleet must not look like one thrashing
@@ -71,6 +73,7 @@ let write_layer t = Volume.write_layer (first_volume t)
 let socket t = t.sock
 let addr t = t.addr
 let write_verifier t = t.verf
+let dupcache t = t.dupcache
 let op_count t proc = Option.value ~default:0 (Hashtbl.find_opt t.op_counts proc)
 (* nfslint: allow D002 integer addition is commutative; the fold's result is order-independent *)
 let total_ops t = Hashtbl.fold (fun _ n acc -> acc + n) t.op_counts 0
@@ -295,19 +298,21 @@ let error_res ~proc st : Proto.res =
   else if proc = Proto.proc_statfs then Proto.RStatfs (Error st)
   else Proto.RStatus st
 
+let empty_reply stat = Svc.Reply (stat, Rpc.reply_body ~size_hint:0 ())
+
 (* NFSERR_ROFS in the shape the proc's decoder expects, charged like
    any other error reply. *)
 let rofs_reply t vol ~proc =
   count_rofs_rejection t vol;
   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-  Svc.Reply (Rpc.Success, Proto.encode_res (error_res ~proc Proto.NFSERR_ROFS))
+  Svc.Reply (Rpc.Success, Proto.res_body (error_res ~proc Proto.NFSERR_ROFS))
 
 (* The mini MOUNT service: export name in, root filehandle out. *)
 let dispatch_mount t (call : Rpc.call) =
-  if call.Rpc.proc <> Proto.proc_mnt then Svc.Reply (Rpc.Proc_unavail, Bytes.create 0)
+  if call.Rpc.proc <> Proto.proc_mnt then empty_reply Rpc.Proc_unavail
   else
     match Proto.decode_mnt_args call.Rpc.body with
-    | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> Svc.Reply (Rpc.Garbage_args, Bytes.create 0)
+    | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> empty_reply Rpc.Garbage_args
     | name ->
         let res =
           match List.find_opt (fun v -> Volume.export v = name) t.volumes with
@@ -315,16 +320,16 @@ let dispatch_mount t (call : Rpc.call) =
           | None -> Error Proto.NFSERR_NOENT
         in
         Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-        Svc.Reply (Rpc.Success, Proto.encode_mnt_res res)
+        Svc.Reply (Rpc.Success, Proto.mnt_res_body res)
 
 let make_dispatch t =
   fun tr (call : Rpc.call) ->
     if call.Rpc.prog = Rpc.mount_program then dispatch_mount t call
-    else if call.Rpc.prog <> Rpc.nfs_program then Svc.Reply (Rpc.Prog_unavail, Bytes.create 0)
+    else if call.Rpc.prog <> Rpc.nfs_program then empty_reply Rpc.Prog_unavail
     else begin
       Resource.use t.cpu (t.config.costs.Cpu_model.rpc_decode + t.config.costs.Cpu_model.op_base);
       match Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body with
-      | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> Svc.Reply (Rpc.Garbage_args, Bytes.create 0)
+      | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> empty_reply Rpc.Garbage_args
       | decoded ->
       (match Svc.journey_of tr with
       | Some j ->
@@ -349,7 +354,7 @@ let make_dispatch t =
               else Write_layer.handle_write (Volume.write_layer vol) tr v ~off:offset ~data
           | exception Fs.Stale _ ->
               Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.encode_res (Proto.RAttr (Error Proto.NFSERR_STALE))))
+              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RAttr (Error Proto.NFSERR_STALE))))
       | Proto.Write3 { fh; offset; stable; data } -> (
           count_op t Proto.proc_write3;
           match
@@ -358,7 +363,7 @@ let make_dispatch t =
           with
           | exception Fs.Stale _ ->
               Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.encode_res (Proto.RWrite3 (Error Proto.NFSERR_STALE)))
+              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_STALE)))
           | vol, v -> (
               count_vol_op t vol Proto.proc_write3;
               if Volume.read_only vol then rofs_reply t vol ~proc:Proto.proc_write3
@@ -380,16 +385,16 @@ let make_dispatch t =
                       Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
                       Svc.Reply
                         ( Rpc.Success,
-                          Proto.encode_res
+                          Proto.res_body
                             (Proto.RWrite3 (Ok (fattr_of_vnode vol v, Proto.Unstable, t.verf))) )
                   | exception Fs.No_space ->
                       Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
                       Svc.Reply
-                        (Rpc.Success, Proto.encode_res (Proto.RWrite3 (Error Proto.NFSERR_NOSPC)))
+                        (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_NOSPC)))
                   | exception Nfsg_disk.Device.Io_error _ ->
                       Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
                       Svc.Reply
-                        (Rpc.Success, Proto.encode_res (Proto.RWrite3 (Error Proto.NFSERR_IO))))
+                        (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_IO))))
               | Proto.Data_sync | Proto.File_sync ->
                   (* v2 semantics through the write layer: these writes
                      gather in the same batches as v2 WRITEs. *)
@@ -405,7 +410,7 @@ let make_dispatch t =
           with
           | exception Fs.Stale _ ->
               Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.encode_res (Proto.RCommit (Error Proto.NFSERR_STALE)))
+              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RCommit (Error Proto.NFSERR_STALE)))
           | vol, v -> (
               count_vol_op t vol Proto.proc_commit;
               if Volume.read_only vol then rofs_reply t vol ~proc:Proto.proc_commit
@@ -429,13 +434,13 @@ let make_dispatch t =
                   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
                   Svc.Reply
                     ( Rpc.Success,
-                      Proto.encode_res (Proto.RCommit (Ok (fattr_of_vnode vol v, t.verf))) )
+                      Proto.res_body (Proto.RCommit (Ok (fattr_of_vnode vol v, t.verf))) )
               | exception Nfsg_disk.Device.Io_error _ ->
                   (* The unstable data stays dirty in the cache; the
                      client keeps it and re-COMMITs. *)
                   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
                   Svc.Reply
-                    (Rpc.Success, Proto.encode_res (Proto.RCommit (Error Proto.NFSERR_IO)))
+                    (Rpc.Success, Proto.res_body (Proto.RCommit (Error Proto.NFSERR_IO)))
               end))
       | Proto.Read { fh; offset; count } -> (
           count_op t Proto.proc_read;
@@ -447,7 +452,7 @@ let make_dispatch t =
               match status_of_exn e with
               | Some st ->
                   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply (Rpc.Success, Proto.encode_res (Proto.RRead (Error st)))
+                  Svc.Reply (Rpc.Success, Proto.res_body (Proto.RRead (Error st)))
               | None -> raise e)
           | vol, v -> (
               count_vol_op t vol Proto.proc_read;
@@ -460,8 +465,9 @@ let make_dispatch t =
                   stream_of t ~client:(Svc.client_of tr) ~inum:fh.Proto.inum
                 else 0
               in
-              match Vfs.vop_read_ahead v ~stream ~off:offset ~len:count with
-              | data ->
+              let body, head = Proto.read_reply () in
+              match Vfs.vop_read_ahead v ~stream ~off:offset ~len:count (Rpc.body_enc body) with
+              | () ->
                   jstamp t tr Nfsg_stats.Journey.stamp_disk_complete;
                   (* Hit iff no demand read waited: the cache's miss
                      counter did not move while we were in the vop. *)
@@ -471,14 +477,15 @@ let make_dispatch t =
                         ~hit:(Nfsg_ufs.Buffer_cache.misses cache = misses0)
                   | None -> ());
                   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply
-                    ( Rpc.Success,
-                      Proto.encode_res (Proto.RRead (Ok (fattr_of_vnode vol v, data))) )
+                  (* The attributes as of the reply, after the encode
+                     charge: the data is already in the frame. *)
+                  Proto.fill_read_ok head (fattr_of_vnode vol v);
+                  Svc.Reply (Rpc.Success, body)
               | exception e -> (
                   match status_of_exn e with
                   | Some st ->
                       Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                      Svc.Reply (Rpc.Success, Proto.encode_res (Proto.RRead (Error st)))
+                      Svc.Reply (Rpc.Success, Proto.res_body (Proto.RRead (Error st)))
                   | None -> raise e)))
       | args -> (
           count_op t call.Rpc.proc;
@@ -496,12 +503,12 @@ let make_dispatch t =
           with
           | res ->
               Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.encode_res res)
+              Svc.Reply (Rpc.Success, Proto.res_body res)
           | exception e -> (
               match status_of_exn e with
               | Some st ->
                   Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply (Rpc.Success, Proto.encode_res (error_res ~proc:call.Rpc.proc st))
+                  Svc.Reply (Rpc.Success, Proto.res_body (error_res ~proc:call.Rpc.proc st))
               | None -> raise e))
     end
 
@@ -521,7 +528,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
   let svc_ref = ref None in
   let send_reply tr res =
     match !svc_ref with
-    | Some svc -> Svc.send_reply svc tr Rpc.Success (Proto.encode_res res)
+    | Some svc -> Svc.send_reply svc tr Rpc.Success (Proto.res_body res)
     | None -> assert false
   in
   let volumes =
@@ -535,6 +542,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
     Nfsg_stats.Journey.create eng ~metrics ?threshold:config.long_op_threshold
       ?event_trace:trace ()
   in
+  let dupcache = if config.dupcache then Some (Dupcache.create eng ~metrics ()) else None in
   let t =
     {
       eng;
@@ -546,6 +554,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
       sock;
       cpu;
       verf;
+      dupcache;
       op_counts = Hashtbl.create 16;
       stream_ids = Hashtbl.create 16;
       trace;
@@ -553,7 +562,6 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
       journeys;
     }
   in
-  let dupcache = if config.dupcache then Some (Dupcache.create eng ~metrics ()) else None in
   let svc =
     Svc.create eng ~sock ?dupcache ~journeys ~metrics
       ~on_duplicate_drop:(fun ~client:_ call ->
@@ -594,8 +602,11 @@ let make eng ~segment ~addr ~device ?trace ?metrics ?(mkfs = true) config =
     ]
 
 let crash t =
-  (* Power off: volatile state gone and the host leaves the wire. *)
+  (* Power off: volatile state gone and the host leaves the wire. The
+     reply cache is volatile too; emptying it also frees its replies,
+     which every incarnation a caller keeps would otherwise hold. *)
   Nfsg_net.Socket.detach t.sock;
+  Option.iter Dupcache.clear t.dupcache;
   List.iter Volume.crash t.volumes
 
 let recover t =

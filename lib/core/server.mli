@@ -103,6 +103,10 @@ val write_verifier : t -> int
     uncommitted data may have been lost. Worlds are independent, so two
     fresh servers report the same verifier. *)
 
+val dupcache : t -> Nfsg_rpc.Dupcache.t option
+(** This incarnation's duplicate request cache ([None] when the config
+    turns it off). {!crash} empties it. *)
+
 val op_count : t -> int -> int
 (** Completed requests for an NFS procedure number. *)
 
@@ -119,7 +123,9 @@ val journeys : t -> Nfsg_stats.Journey.plane
 
 val crash : t -> unit
 (** Power-fail the server: volatile state gone, in-flight requests
-    lost. The device survives (platter + NVRAM). *)
+    lost. The socket leaves the wire with its receive queue and sends
+    nothing more; the duplicate request cache is emptied. The device
+    survives (platter + NVRAM). *)
 
 val recover : t -> t
 (** Reboot after {!crash}: per-volume device recovery (NVRAM replay)

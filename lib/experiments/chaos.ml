@@ -203,7 +203,7 @@ let run ?metrics cfg =
         if tries < 8 then
           match
             Rpc_client.call rpc ~klass:Rpc_client.Heavy ~proc:Proto.proc_write
-              (Proto.encode_args (Proto.Write { fh = !victim_fh; offset = blk * bs; data = Nfsg_rpc.Xdr.view_of_bytes data }))
+              (Proto.args_body (Proto.Write { fh = !victim_fh; offset = blk * bs; data = Nfsg_rpc.Xdr.view_of_bytes data }))
           with
           | Rpc.Success, body -> (
               match Proto.decode_res ~proc:Proto.proc_write body with
@@ -246,7 +246,7 @@ let run ?metrics cfg =
           incr issued_creates;
           (match
              Rpc_client.call rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_create
-               (Proto.encode_args
+               (Proto.args_body
                   (Proto.Create { dir = !root_fh; name; sattr = Proto.sattr_none }))
            with
           | Rpc.Success, body -> (
@@ -256,7 +256,7 @@ let run ?metrics cfg =
                   incr issued_removes;
                   match
                     Rpc_client.call rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_remove
-                      (Proto.encode_args (Proto.Remove { dir = !root_fh; name }))
+                      (Proto.args_body (Proto.Remove { dir = !root_fh; name }))
                   with
                   | Rpc.Success, body -> (
                       match Proto.decode_res ~proc:Proto.proc_remove body with
@@ -313,7 +313,7 @@ let run ?metrics cfg =
     root_fh := Server.root_fh !server;
     (match
        Rpc_client.call boot_rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_create
-         (Proto.encode_args
+         (Proto.args_body
             (Proto.Create { dir = !root_fh; name = "victim"; sattr = Proto.sattr_none }))
      with
     | Rpc.Success, body -> (

@@ -4,6 +4,7 @@ type t = {
   rcvbuf : int;
   queue : (string * Bytes.t * Nfsg_sim.Time.t) Nfsg_sim.Squeue.t;
   mutable buffered_bytes : int;
+  mutable attached : bool;
   mutable received : int;
   mutable dropped : int;
 }
@@ -21,6 +22,7 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
       rcvbuf;
       queue = Nfsg_sim.Squeue.create ();
       buffered_bytes = 0;
+      attached = true;
       received = 0;
       dropped = 0;
     }
@@ -39,8 +41,16 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
     { Segment.addr; deliver; rx_fragment = on_rx_fragment; buffer_drops = (fun () -> s.dropped) };
   s
 
-let send s ~dst payload = Segment.transmit s.segment ~src:s.addr ~dst payload
-let detach s = Segment.detach s.segment s.addr
+let send s ~dst payload = if s.attached then Segment.transmit s.segment ~src:s.addr ~dst payload
+
+(* Off the wire, the host's buffered datagrams go with it: nothing
+   queued is ever served, and nothing is sent from the address the
+   next incarnation reclaims. *)
+let detach s =
+  s.attached <- false;
+  Segment.detach s.segment s.addr;
+  Nfsg_sim.Squeue.clear s.queue;
+  s.buffered_bytes <- 0
 
 let recv_stamped s =
   let ((_, payload, _) as msg) = Nfsg_sim.Squeue.get s.queue in

@@ -23,7 +23,7 @@ val addr : t -> string
 
 val send : t -> dst:string -> Bytes.t -> unit
 (** Queue a datagram for transmission. Never blocks (interface queue is
-    not modelled; the shared medium is). *)
+    not modelled; the shared medium is). A no-op once {!detach}ed. *)
 
 val recv : t -> string * Bytes.t
 (** Blocking receive: [(source address, payload)]. *)
@@ -39,7 +39,8 @@ val scan : t -> (src:string -> Bytes.t -> bool) -> bool
 
 val detach : t -> unit
 (** Remove the station from the segment: subsequent datagrams for this
-    address vanish (the host is off the wire). The address becomes
+    address vanish (the host is off the wire), the receive queue is
+    emptied, and later {!send}s transmit nothing. The address becomes
     reusable — how a rebooted server reclaims its identity. *)
 
 val pending : t -> int

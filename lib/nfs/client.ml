@@ -48,17 +48,18 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
 
 (* {1 RPC plumbing} *)
 
-let do_call t ~klass args =
-  let proc = Proto.proc_of_args args in
+let call_encoded t ~klass ~proc body =
   (* Per-procedure completion latency, as the application sees it:
      includes every retransmission and RTO wait inside the call. *)
   let h =
     Metrics.histogram t.metrics ~ns:Names.Ns.nfs_client (Names.lat_us (Proto.proc_name proc))
   in
   Metrics.span t.eng h (fun () ->
-      let stat, body = Rpc_client.call t.rpc ~klass ~proc (Proto.encode_args args) in
+      let stat, reply = Rpc_client.call t.rpc ~klass ~proc body in
       if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
-      Proto.decode_res ~proc body)
+      Proto.decode_res ~proc reply)
+
+let do_call t ~klass args = call_encoded t ~klass ~proc:(Proto.proc_of_args args) (Proto.args_body args)
 
 let attr_result = function
   | Proto.RAttr (Ok a) -> a
@@ -128,7 +129,7 @@ let null_ping t =
 let mount_flags t name =
   let stat, body =
     Rpc_client.call t.rpc ~klass:Rpc_client.Light ~prog:Rpc.mount_program
-      ~proc:Proto.proc_mnt (Proto.encode_mnt_args name)
+      ~proc:Proto.proc_mnt (Proto.mnt_args_body name)
   in
   if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
   match Proto.decode_mnt_res body with
@@ -177,15 +178,13 @@ let note_verf f verf =
   | None -> f.verf <- Some verf
   | Some v -> if v <> verf then f.verf_moved <- true
 
-let do_write_rpc f ~off data =
+let do_write_rpc f ~off ~len body =
   let t = f.client in
   t.wire_writes <- t.wire_writes + 1;
-  t.bytes_written <- t.bytes_written + Bytes.length data;
+  t.bytes_written <- t.bytes_written + len;
   match t.protocol with
   | V2 -> (
-      match
-        do_call t ~klass:Rpc_client.Heavy (Proto.Write { fh = f.fh; offset = off; data = Xdr.view_of_bytes data })
-      with
+      match call_encoded t ~klass:Rpc_client.Heavy ~proc:Proto.proc_write body with
       | res -> (
           match res with
           | Proto.RAttr (Ok a) -> t.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: t.mtimes
@@ -194,11 +193,8 @@ let do_write_rpc f ~off data =
       | exception Error st -> f.async_error <- Some st)
   | V3 -> (
       f.dirty_lo <- Stdlib.min f.dirty_lo off;
-      f.dirty_hi <- Stdlib.max f.dirty_hi (off + Bytes.length data);
-      match
-        do_call t ~klass:Rpc_client.Heavy
-          (Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data = Xdr.view_of_bytes data })
-      with
+      f.dirty_hi <- Stdlib.max f.dirty_hi (off + len);
+      match call_encoded t ~klass:Rpc_client.Heavy ~proc:Proto.proc_write3 body with
       | res -> (
           match res with
           | Proto.RWrite3 (Ok (a, _how, verf)) ->
@@ -228,12 +224,12 @@ let commit f =
 (* A full or final cache block "needs to go to the wire": hand it to a
    biod if one is free, otherwise the application does the RPC itself
    and thereby blocks — the client-side flow control of section 4.1. *)
-let wire_write f ~off data =
+let wire_write f ~off ~len body =
   let t = f.client in
   if Semaphore.try_acquire t.biods then begin
     f.outstanding <- f.outstanding + 1;
     Engine.spawn t.eng ~name:"biod" (fun () ->
-        do_write_rpc f ~off data;
+        do_write_rpc f ~off ~len body;
         Semaphore.release t.biods;
         f.outstanding <- f.outstanding - 1;
         if f.outstanding = 0 then Condition.broadcast f.done_cond)
@@ -245,16 +241,25 @@ let wire_write f ~off data =
        order then unblocks us last, exactly the traffic cycle of the
        paper's case study. *)
     Engine.yield ();
-    do_write_rpc f ~off data
+    do_write_rpc f ~off ~len body
   end
 
+(* The block is encoded here, straight from the cache block into the
+   WRITE's frame: the block buffer is free for the next block at once,
+   and the biod sends the frame without touching the payload again. *)
 let flush f =
   if f.buf_base >= 0 && f.buf_len > 0 then begin
-    let data = Bytes.sub f.buf 0 f.buf_len in
-    let off = f.buf_base in
+    let off = f.buf_base and len = f.buf_len in
+    let data = Xdr.view_of_bytes ~len f.buf in
+    let body =
+      Proto.args_body
+        (match f.client.protocol with
+        | V2 -> Proto.Write { fh = f.fh; offset = off; data }
+        | V3 -> Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data })
+    in
     f.buf_base <- -1;
     f.buf_len <- 0;
-    wire_write f ~off data
+    wire_write f ~off ~len body
   end
   else begin
     f.buf_base <- -1;

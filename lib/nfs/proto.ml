@@ -300,17 +300,18 @@ let proc_of_args = function
   | Write3 _ -> proc_write3
   | Commit _ -> proc_commit
 
-(* Encoders carrying a data payload are sized exactly, so the payload
-   is copied once, into a buffer {!Xdr.Enc.to_bytes} returns as is;
-   small fixed-shape messages keep the default hint. *)
-let encode_args args =
+(* Bodies carrying a data payload are sized exactly, so the payload is
+   copied once, into the frame that goes on the wire; small
+   fixed-shape messages keep the default hint. *)
+let args_body args =
   let size_hint =
     match args with
     | Write { data; _ } -> fh_bytes + 12 + Xdr.opaque_size (Xdr.view_length data)
     | Write3 { data; _ } -> fh_bytes + 16 + Xdr.opaque_size (Xdr.view_length data)
     | _ -> 256
   in
-  let enc = Xdr.Enc.create ~size_hint () in
+  let body = Rpc.call_body ~size_hint () in
+  let enc = Rpc.body_enc body in
   (match args with
   | Null -> ()
   | Getattr fh | Statfs fh | Readlink fh -> put_fh enc fh
@@ -365,7 +366,7 @@ let encode_args args =
       put_fh enc fh;
       Xdr.Enc.uint64 enc offset;
       Xdr.Enc.uint32 enc count);
-  Xdr.Enc.to_bytes enc
+  body
 
 let decode_args ~proc body =
   let dec = Xdr.Dec.of_view body in
@@ -459,13 +460,14 @@ type res =
 let put_status enc st = Xdr.Enc.enum enc (status_to_int st)
 let get_status dec = status_of_int (Xdr.Dec.enum dec)
 
-let encode_res res =
+let res_body res =
   let size_hint =
     match res with
     | RRead (Ok (_, data)) -> 4 + fattr_bytes + Xdr.opaque_size (Bytes.length data)
     | _ -> 256
   in
-  let enc = Xdr.Enc.create ~size_hint () in
+  let body = Rpc.reply_body ~size_hint () in
+  let enc = Rpc.body_enc body in
   (match res with
   | RNull -> ()
   | RStatus st -> put_status enc st
@@ -519,7 +521,23 @@ let encode_res res =
       put_fattr enc a;
       Xdr.Enc.uint64 enc verf
   | RCommit (Error st) -> put_status enc st);
-  Xdr.Enc.to_bytes enc
+  body
+
+(* A READ success reply whose status and attributes are written after
+   its data: the data goes straight from the buffer cache into the
+   frame, and the attributes are those at reply time. The hint covers
+   the header, status, attributes and the opaque's length word; the
+   data then grows the buffer once, to the exact frame. *)
+let read_ok_head_bytes = 4 + fattr_bytes
+
+let read_reply () =
+  let body = Rpc.reply_body ~size_hint:(read_ok_head_bytes + 4) () in
+  (body, Xdr.Enc.slot (Rpc.body_enc body) read_ok_head_bytes)
+
+let fill_read_ok head a =
+  Xdr.Enc.fill head (fun enc ->
+      put_status enc NFS_OK;
+      put_fattr enc a)
 
 let decode_res ~proc body =
   let dec = Xdr.Dec.of_view body in
@@ -605,25 +623,26 @@ let decode_res ~proc body =
 
 let proc_mnt = 1
 
-let encode_mnt_args name =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.string enc name;
-  Xdr.Enc.to_bytes enc
+let mnt_args_body name =
+  let body = Rpc.call_body () in
+  Xdr.Enc.string (Rpc.body_enc body) name;
+  body
 
 let decode_mnt_args body = Xdr.Dec.string (Xdr.Dec.of_view body)
 
 (* A successful MNT reply carries the root filehandle plus the
    export's read-only flag — the "exported ro" bit a diskless client
    wants before it tries to write its root. *)
-let encode_mnt_res res =
-  let enc = Xdr.Enc.create () in
+let mnt_res_body res =
+  let body = Rpc.reply_body () in
+  let enc = Rpc.body_enc body in
   (match res with
   | Ok (fh, read_only) ->
       put_status enc NFS_OK;
       put_fh enc fh;
       Xdr.Enc.bool enc read_only
   | Error st -> put_status enc st);
-  Xdr.Enc.to_bytes enc
+  body
 
 let decode_mnt_res body =
   let dec = Xdr.Dec.of_view body in

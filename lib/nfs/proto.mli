@@ -121,7 +121,10 @@ type args =
   | Commit of { fh : fh; offset : int; count : int }
 
 val proc_of_args : args -> int
-val encode_args : args -> Bytes.t
+val args_body : args -> Nfsg_rpc.Rpc.body
+(** The call body carrying [args], ready for {!Nfsg_rpc.Rpc_client.call}.
+    A WRITE's payload is copied once, into the frame. *)
+
 val decode_args : proc:int -> Nfsg_rpc.Xdr.view -> args
 (** Raises {!Xdr.Dec.Error} (via [Nfsg_rpc.Xdr]) on garbage or unknown
     procedure. *)
@@ -142,7 +145,17 @@ type res =
       (** attributes, how the data was committed, write verifier *)
   | RCommit of (fattr * int, status) result  (** attributes, verifier *)
 
-val encode_res : res -> Bytes.t
+val res_body : res -> Nfsg_rpc.Rpc.body
+(** The reply body carrying [res], ready for {!Nfsg_rpc.Svc.send_reply}. *)
+
+val read_reply : unit -> Nfsg_rpc.Rpc.body * Nfsg_rpc.Xdr.Enc.slot
+(** A READ success reply under construction: a reply body whose
+    status and attributes slot is reserved ahead of the data. Append
+    the data opaque to its encoder, then {!fill_read_ok} the slot; the
+    frame equals [res_body (RRead (Ok (attr, data)))] byte for byte. *)
+
+val fill_read_ok : Nfsg_rpc.Xdr.Enc.slot -> fattr -> unit
+
 val decode_res : proc:int -> Nfsg_rpc.Xdr.view -> res
 
 (** {1 Mount protocol (mini)}
@@ -152,9 +165,9 @@ val decode_res : proc:int -> Nfsg_rpc.Xdr.view -> res
 
 val proc_mnt : int
 
-val encode_mnt_args : string -> Bytes.t
+val mnt_args_body : string -> Nfsg_rpc.Rpc.body
 val decode_mnt_args : Nfsg_rpc.Xdr.view -> string
-val encode_mnt_res : (fh * bool, status) result -> Bytes.t
+val mnt_res_body : (fh * bool, status) result -> Nfsg_rpc.Rpc.body
 (** A successful reply carries the root filehandle and the export's
     read-only flag. *)
 

@@ -156,3 +156,8 @@ let forget t ~client ~xid =
       unindex t key e;
       Hashtbl.remove t.table key
   | None -> ()
+
+let clear t =
+  Hashtbl.reset t.table;
+  t.by_done <- Stamp.empty;
+  t.by_touch <- Stamp.empty

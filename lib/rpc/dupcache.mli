@@ -45,6 +45,11 @@ val forget : t -> client:string -> xid:int -> unit
 (** Drop an in-progress entry without a reply (e.g. dispatch failed
     before a reply existed). *)
 
+val clear : t -> unit
+(** Drop every entry, in flight or completed, with both indexes: the
+    cache is kernel memory, and a power-off loses it. Counters keep
+    their values. *)
+
 val entries : t -> int
 val drops : t -> int
 (** Requests dropped as in-progress duplicates. *)

@@ -37,25 +37,42 @@ let get_auth dec =
   ignore body
 
 (* Fixed header sizes with AUTH_NULL credentials and verifiers: ten
-   words ahead of a call's body, six ahead of a reply's. Frames are
-   sized exactly, so encoding one copies its body once. *)
+   words ahead of a call's body, six ahead of a reply's. *)
 let call_header_bytes = 40
 let reply_header_bytes = 24
 
-let encode_call c =
-  let enc = Xdr.Enc.create ~size_hint:(call_header_bytes + Xdr.view_length c.body) () in
-  Xdr.Enc.uint32 enc c.xid;
-  Xdr.Enc.enum enc msg_call;
-  Xdr.Enc.uint32 enc rpc_version;
-  Xdr.Enc.uint32 enc c.prog;
-  Xdr.Enc.uint32 enc c.vers;
-  Xdr.Enc.uint32 enc c.proc;
-  put_auth_null enc;
-  (* credentials *)
-  put_auth_null enc;
-  (* verifier *)
-  Xdr.Enc.raw_view enc c.body;
-  Xdr.Enc.to_bytes enc
+(* A message body is encoded straight into its final frame: the
+   encoder starts with the header's slot reserved, and framing fills
+   that slot. The slot belongs to this encoder alone, so framing can
+   never write into anyone else's buffer, and filling it twice
+   raises. *)
+type body = { enc : Xdr.Enc.t; header : Xdr.Enc.slot }
+
+let body_with ~header size_hint =
+  let enc = Xdr.Enc.create ~size_hint:(header + size_hint) () in
+  { enc; header = Xdr.Enc.slot enc header }
+
+let call_body ?(size_hint = 256) () = body_with ~header:call_header_bytes size_hint
+let reply_body ?(size_hint = 256) () = body_with ~header:reply_header_bytes size_hint
+let body_enc b = b.enc
+
+(* A header written into the other kind's slot has the wrong size, and
+   [fill] rejects it. *)
+let frame b write =
+  Xdr.Enc.fill b.header write;
+  Xdr.Enc.to_bytes b.enc
+
+let frame_call b ~xid ~prog ~vers ~proc =
+  frame b (fun enc ->
+      Xdr.Enc.uint32 enc xid;
+      Xdr.Enc.enum enc msg_call;
+      Xdr.Enc.uint32 enc rpc_version;
+      Xdr.Enc.uint32 enc prog;
+      Xdr.Enc.uint32 enc vers;
+      Xdr.Enc.uint32 enc proc;
+      (* credentials, then verifier *)
+      put_auth_null enc;
+      put_auth_null enc)
 
 let decode_call bytes =
   let dec = Xdr.Dec.of_bytes bytes in
@@ -71,17 +88,15 @@ let decode_call bytes =
   get_auth dec;
   { xid; prog; vers; proc; body = Xdr.Dec.rest_view dec }
 
-let encode_reply r =
-  let enc = Xdr.Enc.create ~size_hint:(reply_header_bytes + Xdr.view_length r.rbody) () in
-  Xdr.Enc.uint32 enc r.rxid;
-  Xdr.Enc.enum enc msg_reply;
-  (* reply_stat MSG_ACCEPTED *)
-  Xdr.Enc.enum enc 0;
-  put_auth_null enc;
-  (* verifier *)
-  Xdr.Enc.enum enc (accept_stat_to_int r.stat);
-  Xdr.Enc.raw_view enc r.rbody;
-  Xdr.Enc.to_bytes enc
+let frame_reply b ~xid stat =
+  frame b (fun enc ->
+      Xdr.Enc.uint32 enc xid;
+      Xdr.Enc.enum enc msg_reply;
+      (* reply_stat MSG_ACCEPTED *)
+      Xdr.Enc.enum enc 0;
+      put_auth_null enc;
+      (* verifier *)
+      Xdr.Enc.enum enc (accept_stat_to_int stat))
 
 let decode_reply bytes =
   let dec = Xdr.Dec.of_bytes bytes in

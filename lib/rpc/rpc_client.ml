@@ -113,9 +113,7 @@ let rto_for t klass =
 let call t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc body =
   t.next_xid <- t.next_xid + 1;
   let xid = t.next_xid in
-  let payload =
-    Rpc.encode_call { Rpc.xid; prog; vers = Rpc.nfs_version; proc; body = Xdr.view_of_bytes body }
-  in
+  let payload = Rpc.frame_call body ~xid ~prog ~vers:Rpc.nfs_version ~proc in
   let rec attempt n rto =
     if n > t.params.max_attempts then begin
       Metrics.incr t.timeouts;

@@ -40,8 +40,10 @@ val create :
     (private registry when omitted). *)
 
 val call :
-  t -> ?klass:op_class -> ?prog:int -> proc:int -> Bytes.t -> Rpc.accept_stat * Xdr.view
-(** Blocking remote call; returns the decoded reply body as a view
+  t -> ?klass:op_class -> ?prog:int -> proc:int -> Rpc.body -> Rpc.accept_stat * Xdr.view
+(** Blocking remote call with the arguments in [body] (a
+    {!Rpc.call_body}, framed here once; retransmissions resend the
+    same frame). Returns the decoded reply body as a view
     into the reply datagram (copy it if it must outlive the call). [prog]
     defaults to {!Rpc.nfs_program}; pass {!Rpc.mount_program} to reach
     the mount service. *)

@@ -13,7 +13,7 @@ type transport = {
           reply goes out through {!send_reply} *)
 }
 
-type disposition = Reply of Rpc.accept_stat * Bytes.t | Reply_pending
+type disposition = Reply of Rpc.accept_stat * Rpc.body | Reply_pending
 
 type t = {
   eng : Engine.t;
@@ -64,7 +64,7 @@ let send_reply t tr stat body =
       tr.journey <- None;
       Journey.finish plane j
   | _ -> tr.journey <- None);
-  let encoded = Rpc.encode_reply { Rpc.rxid = tr.xid; stat; rbody = Xdr.view_of_bytes body } in
+  let encoded = Rpc.frame_reply body ~xid:tr.xid stat in
   (match t.dupcache with
   | Some dc -> Dupcache.complete dc ~client:tr.client ~xid:tr.xid encoded
   | None -> ());
@@ -136,7 +136,7 @@ let svc_run t dispatch () =
                   (match t.dupcache with
                   | Some dc -> Dupcache.forget dc ~client ~xid:call.Rpc.xid
                   | None -> ());
-                  send_reply t tr stat (Bytes.create 0)
+                  send_reply t tr stat (Rpc.reply_body ~size_hint:0 ())
                 end)));
     loop ()
   in

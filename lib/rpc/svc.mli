@@ -17,7 +17,7 @@ type transport
 (** Checked-out transport handle: remembers the client address and xid
     a delayed reply must go to. *)
 
-type disposition = Reply of Rpc.accept_stat * Bytes.t | Reply_pending
+type disposition = Reply of Rpc.accept_stat * Rpc.body | Reply_pending
 
 val create :
   Nfsg_sim.Engine.t ->
@@ -40,9 +40,10 @@ val create :
     and duplicate drop/replay counters under namespace ["rpc.svc"]
     (private registry when omitted). *)
 
-val send_reply : t -> transport -> Rpc.accept_stat -> Bytes.t -> unit
-(** Complete a delayed (or immediate) reply: encode, transmit, record
-    in the duplicate cache, recycle the handle. Usable from any
+val send_reply : t -> transport -> Rpc.accept_stat -> Rpc.body -> unit
+(** Complete a delayed (or immediate) reply: frame the body (a
+    {!Rpc.reply_body}) in place, transmit, record in the duplicate
+    cache, recycle the handle. Usable from any
     process. Raises [Invalid_argument] if the handle was already
     replied to. *)
 

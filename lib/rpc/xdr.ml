@@ -51,10 +51,18 @@ module Enc = struct
      the common case fills [buf] exactly and {!to_bytes} hands it over
      without a copy; once handed over, the next append finds the buffer
      full and moves to a fresh one, never writing into the returned
-     bytes. *)
-  type t = { mutable buf : Bytes.t; mutable len : int }
+     bytes. [open_slots] counts reserved slots not yet filled: their
+     bytes are uninitialised, so nothing may leave the encoder while
+     one is open. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; mutable open_slots : int }
 
-  let create ?(size_hint = 256) () = { buf = Bytes.create (Stdlib.max 0 size_hint); len = 0 }
+  (* A fixed-size hole at a fixed offset of one encoder. The slot keeps
+     its owner, so a fill can only ever land in the buffer that reserved
+     it. *)
+  type slot = { owner : t; at : int; size : int; mutable filled : bool }
+
+  let create ?(size_hint = 256) () =
+    { buf = Bytes.create (Stdlib.max 0 size_hint); len = 0; open_slots = 0 }
 
   (* Make room for [n] more bytes and return where they start. This may
      replace [t.buf], so read [t.buf] only after it returns. *)
@@ -114,14 +122,50 @@ module Enc = struct
     pad t n
 
   let raw t data = raw_sub t data 0 (Bytes.length data)
-  let raw_view t v = raw_sub t v.view_buf v.view_pos v.view_len
 
   let opaque_view t v =
     uint32 t v.view_len;
-    raw_view t v;
+    raw_sub t v.view_buf v.view_pos v.view_len;
     pad t v.view_len
 
-  let to_bytes t = if t.len = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 t.len
+  (* Length, data and padding are reserved in one step, so a buffer
+     that must grow grows once, to the exact end of the opaque. *)
+  let opaque_fill t n write =
+    if n < 0 then invalid_arg "Xdr.Enc.opaque_fill: negative length";
+    uint32 t n;
+    let p = pad4 n in
+    let at = reserve t (n + p) in
+    Bytes.fill t.buf (at + n) p '\000';
+    write t.buf at
+
+  let slot t size =
+    if size < 0 then invalid_arg "Xdr.Enc.slot: negative size";
+    let at = reserve t size in
+    t.open_slots <- t.open_slots + 1;
+    { owner = t; at; size; filled = false }
+
+  let fill s write =
+    if s.filled then invalid_arg "Xdr.Enc.fill: slot already filled";
+    s.filled <- true;
+    let t = s.owner in
+    let saved = t.len in
+    t.len <- s.at;
+    let wrote =
+      match write t with
+      | () -> t.len - s.at
+      | exception e ->
+          t.len <- saved;
+          raise e
+    in
+    t.len <- saved;
+    if wrote <> s.size then
+      invalid_arg (Printf.sprintf "Xdr.Enc.fill: wrote %d bytes into a %d-byte slot" wrote s.size);
+    t.open_slots <- t.open_slots - 1
+
+  let to_bytes t =
+    if t.open_slots > 0 then invalid_arg "Xdr.Enc.to_bytes: a reserved slot is still unfilled";
+    if t.len = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 t.len
+
   let length t = t.len
 end
 

@@ -75,16 +75,36 @@ module Enc : sig
   val string : t -> string -> unit
 
   val raw : t -> Bytes.t -> unit
-  (** Append bytes verbatim, no padding — for embedding an
-      already-encoded XDR body whose length is known to the framing. *)
+  (** Append bytes verbatim, no padding. *)
 
-  val raw_view : t -> view -> unit
-  (** {!raw} from a view, copying only into the output buffer. *)
+  val opaque_fill : t -> int -> (Bytes.t -> int -> unit) -> unit
+  (** [opaque_fill t n write] appends an [n]-byte variable-length
+      opaque whose bytes [write buf pos] produces in place: it must
+      set all of [buf.[pos] .. buf.[pos + n - 1]]. The length word and
+      the padding are written here; nothing else is initialised, so
+      the payload is copied exactly once, by [write]. [write] may
+      park the calling process; no other writer may append to [t]
+      meanwhile. *)
+
+  type slot
+  (** A fixed-size hole reserved in one encoder, written later: how a
+      header whose contents are known only after the body (an RPC
+      xid, a READ's attributes) is framed without a second copy. *)
+
+  val slot : t -> int -> slot
+  (** Reserve [n] bytes at the cursor; later appends go after them. *)
+
+  val fill : slot -> (t -> unit) -> unit
+  (** [fill s write] runs [write] on the encoder that reserved [s], with
+      its cursor at the slot; [write] must append exactly the slot's
+      size. Raises [Invalid_argument] if [s] was filled before, or if
+      [write] wrote any other number of bytes. *)
 
   val to_bytes : t -> Bytes.t
   (** The bytes written so far. When they fill the buffer exactly, the
       buffer itself is returned; either way, later appends to the
-      encoder never change the returned bytes. *)
+      encoder never change the returned bytes. Raises
+      [Invalid_argument] while a reserved slot is unfilled. *)
 
   val length : t -> int
 end

@@ -14,3 +14,4 @@ let get q =
 
 let length q = Queue.length q.items
 let iter f q = Queue.iter f q.items
+let clear q = Queue.clear q.items

@@ -14,3 +14,6 @@ val get : 'a t -> 'a
 val length : 'a t -> int
 val iter : ('a -> unit) -> 'a t -> unit
 (** Iterate over queued (not yet consumed) items, oldest first. *)
+
+val clear : 'a t -> unit
+(** Drop every queued item. Blocked getters stay blocked. *)

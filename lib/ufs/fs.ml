@@ -395,25 +395,32 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
 
 (* {1 Reading and writing file data} *)
 
-let read t (ino : inode) ~off ~len =
-  if off < 0 || len < 0 then invalid_arg "Fs.read: negative offset or length";
-  let len = Stdlib.max 0 (Stdlib.min len (ino.size - off)) in
-  let out = Bytes.make len '\000' in
+(* The read path's one copy: [len] bytes of file data at [off], already
+   clamped to EOF, go from the cache blocks into [dst] at [dst_off].
+   Holes are zero-filled; nothing else of [dst] is touched first. *)
+let copy_out t (ino : inode) ~off ~len dst dst_off =
   let bs = bsize t in
   let pos = ref off in
   while !pos < off + len do
     let fbn = !pos / bs in
     let within = !pos mod bs in
     let chunk = Stdlib.min (bs - within) (off + len - !pos) in
-    let b = bmap t ino fbn ~alloc_missing:false ~near:None in
-    if b <> 0 then begin
-      let buf = Buffer_cache.get t.bcache b in
-      Bytes.blit buf within out (!pos - off) chunk
-    end;
-    (* holes stay zero *)
+    let at = dst_off + !pos - off in
+    (match bmap t ino fbn ~alloc_missing:false ~near:None with
+    | 0 -> Bytes.fill dst at chunk '\000'
+    | b -> Bytes.blit (Buffer_cache.get t.bcache b) within dst at chunk);
     pos := !pos + chunk
   done;
-  ino.atime <- Engine.now t.eng;
+  ino.atime <- Engine.now t.eng
+
+let clamp (ino : inode) ~off ~len =
+  if off < 0 || len < 0 then invalid_arg "Fs.read: negative offset or length";
+  Stdlib.max 0 (Stdlib.min len (ino.size - off))
+
+let read t (ino : inode) ~off ~len =
+  let len = clamp ino ~off ~len in
+  let out = Bytes.create len in
+  copy_out t ino ~off ~len out 0;
   out
 
 (* Like [bmap ~alloc_missing:false] but consults only resident indirect
@@ -452,8 +459,10 @@ let bmap_cached t (ino : inode) fbn =
    mapping goes through [bmap_cached] and the device submission is
    asynchronous — so the lock is never held across a device wait. The
    demand read itself, with its open-ended cache-miss waits, runs after
-   release. With read-ahead disabled this is exactly [read]. *)
-let read_ahead t (ino : inode) ~stream ~off ~len =
+   release. The data is clamped to EOF here, then copied straight into
+   [enc] as an XDR opaque: for the NFS server, that is the reply
+   frame. *)
+let read_ahead t (ino : inode) ~stream ~off ~len enc =
   if Buffer_cache.readahead_active t.bcache then
     Mutex.with_lock ino.lock (fun () ->
         if off >= 0 && len > 0 && off < ino.size then begin
@@ -464,7 +473,8 @@ let read_ahead t (ino : inode) ~stream ~off ~len =
             ~map:(fun fbn -> bmap_cached t ino fbn)
             ~limit:((ino.size + bs - 1) / bs)
         end);
-  read t ino ~off ~len
+  let len = clamp ino ~off ~len in
+  Nfsg_rpc.Xdr.Enc.opaque_fill enc len (copy_out t ino ~off ~len)
 
 type write_mode = Sync | Sync_data_only | Delay_data
 

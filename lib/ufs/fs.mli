@@ -101,14 +101,19 @@ val meta_dirty : inode -> [ `Clean | `Time_only | `Dirty ]
 val read : t -> inode -> off:int -> len:int -> Bytes.t
 (** Short reads at EOF; holes read as zeros. *)
 
-val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Bytes.t
+val read_ahead :
+  t -> inode -> stream:int -> off:int -> len:int -> Nfsg_rpc.Xdr.Enc.t -> unit
 (** {!read}, feeding the access to the buffer cache's read-ahead
-    engine first. [stream] identifies the reader (client × file) for
-    sequential-run detection. The stream bookkeeping and async
-    prefetch submission run under the inode lock but never park — the
-    block mapping consults only resident indirect blocks — so the lock
-    is not held across any device wait; the demand read runs after
-    release. With read-ahead disabled this is exactly {!read}. *)
+    engine first, and appending the data to the encoder as an XDR
+    opaque instead of returning it: the length is clamped to EOF
+    first, and the data is copied once, from the cache blocks into the
+    encoder's buffer (holes and padding are zeroed). [stream]
+    identifies the reader (client × file) for sequential-run
+    detection. The stream bookkeeping and async prefetch submission
+    run under the inode lock but never park — the block mapping
+    consults only resident indirect blocks — so the lock is not held
+    across any device wait; the demand read runs after release. With
+    read-ahead disabled only the read runs. *)
 
 val bmap_cached : t -> inode -> int -> int
 (** Device block of file block [fbn], consulting only resident

@@ -13,7 +13,7 @@ let locked v = Nfsg_sim.Mutex.locked (Fs.lock_of v.ino)
 let contenders v = Nfsg_sim.Mutex.contenders (Fs.lock_of v.ino)
 let accelerated v = (Fs.device v.fs).Nfsg_disk.Device.accelerated ()
 let vop_getattr v = Fs.getattr v.ino
-let vop_read_ahead v ~stream ~off ~len = Fs.read_ahead v.fs v.ino ~stream ~off ~len
+let vop_read_ahead v ~stream ~off ~len enc = Fs.read_ahead v.fs v.ino ~stream ~off ~len enc
 
 let mode_of_flags flags =
   let has f = List.mem f flags in

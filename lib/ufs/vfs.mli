@@ -42,9 +42,11 @@ val accelerated : vnode -> bool
 val vop_getattr : vnode -> Fs.attr
 
 (** [vop_read_ahead] reads via {!Fs.read_ahead}: feeds the sequential
-    prefetch engine (a plain read when read-ahead is off). [stream]
+    prefetch engine (a plain read when read-ahead is off) and appends
+    the data, clamped to EOF, to the encoder as an XDR opaque. [stream]
     identifies the reader for run detection. *)
-val vop_read_ahead : vnode -> stream:int -> off:int -> len:int -> Bytes.t
+val vop_read_ahead :
+  vnode -> stream:int -> off:int -> len:int -> Nfsg_rpc.Xdr.Enc.t -> unit
 val vop_write : vnode -> off:int -> Nfsg_rpc.Xdr.view -> flags:io_flag list -> unit
 val vop_fsync : vnode -> flags:fsync_flag list -> unit
 val vop_syncdata : vnode -> off:int -> len:int -> unit

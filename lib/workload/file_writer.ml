@@ -3,7 +3,27 @@ module Client = Nfsg_nfs.Client
 
 type result = { bytes : int; elapsed : Time.t; kb_per_sec : float; wire_writes : int }
 
-let pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
+(* Byte [p] of a file written with [seed] is [(p + seed) mod 251]. The
+   tape is that sequence from phase 0 for one period plus one 8 KiB
+   block, so a chunk of up to a block is one blit from the tape, and a
+   longer one a blit per tape length. *)
+let period = 251
+let tape = Bytes.init (period + 8192) (fun i -> Char.chr (i mod period))
+
+let chunk ~pos ~len ~seed =
+  let out = Bytes.create len in
+  let rec fill at =
+    if at < len then begin
+      let phase = (pos + at + seed) mod period in
+      let n = Stdlib.min (len - at) (Bytes.length tape - phase) in
+      Bytes.blit tape phase out at n;
+      fill (at + n)
+    end
+  in
+  fill 0;
+  out
+
+let pattern ~total ~seed = chunk ~pos:0 ~len:total ~seed
 
 let mk_result eng ~t0 ~bytes ~wire_writes0 client =
   let elapsed = Engine.now eng - t0 in
@@ -24,8 +44,7 @@ let run eng client ~dir ~name ~total ?(app_chunk = 8192) ?(seed = 7) () =
   let pos = ref 0 in
   while !pos < total do
     let n = Stdlib.min app_chunk (total - !pos) in
-    let chunk = Bytes.init n (fun i -> Char.chr ((!pos + i + seed) mod 251)) in
-    Client.write f ~off:!pos chunk;
+    Client.write f ~off:!pos (chunk ~pos:!pos ~len:n ~seed);
     pos := !pos + n
   done;
   Client.close f;

@@ -42,4 +42,10 @@ val verify :
 (** Read the file back and compare against the deterministic pattern
     {!run} wrote. *)
 
+val chunk : pos:int -> len:int -> seed:int -> Bytes.t
+(** Bytes [pos .. pos + len - 1] of the pattern {!run} writes with
+    [seed] (non-negative): byte [p] is [(p + seed) mod 251]. Blitted
+    from a precomputed tape, not built byte by byte. *)
+
 val pattern : total:int -> seed:int -> Bytes.t
+(** [chunk ~pos:0 ~len:total ~seed]: the whole file. *)

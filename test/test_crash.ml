@@ -36,7 +36,7 @@ let run_crash_scenario ~crash_ms ~config ~accel =
                 let data = Bytes.init 8192 (fun j -> Char.chr ((j + seed) mod 251)) in
                 (match
                    Rpc_client.call rpc ~klass:Rpc_client.Heavy ~proc:Nfsg_nfs.Proto.proc_write
-                     (Nfsg_nfs.Proto.encode_args
+                     (Nfsg_nfs.Proto.args_body
                         (Nfsg_nfs.Proto.Write { fh = !fh_ref; offset = blk * 8192; data = Nfsg_rpc.Xdr.view_of_bytes data }))
                  with
                 | Nfsg_rpc.Rpc.Success, body -> (
@@ -106,6 +106,67 @@ let test_crash_sweep () =
         (Printf.sprintf "sweep@%.0fms" ms))
     [ 47.0; 91.0; 180.0; 277.0; 451.0; 702.0 ]
 
+(* A crashed server's socket leaves the wire with its receive queue.
+   With one nfsd busy on a NULL call (CPU only, no filesystem) and a
+   second NULL queued behind it, the power-off lands mid-service: the
+   busy nfsd still finishes after it, but neither its reply nor one for
+   the queued request may leave the old address. *)
+let test_crash_silences_socket () =
+  let rig = make ~config:{ Server.default_config with Server.nfsds = 1 } () in
+  let probe = Socket.create rig.segment ~addr:"probe" () in
+  let sock = Server.socket rig.server in
+  let before, after =
+    run rig (fun () ->
+        Socket.send probe ~dst:"server" (call_frame ~xid:1 Proto.Null);
+        Socket.send probe ~dst:"server" (call_frame ~xid:2 Proto.Null);
+        while Socket.pending sock = 0 && Engine.now rig.eng < Time.ms 10 do
+          Engine.delay (Time.us 5)
+        done;
+        let before = Socket.pending sock in
+        Server.crash rig.server;
+        (before, Socket.pending sock))
+  in
+  Alcotest.(check int) "a request was queued at the crash" 1 before;
+  Alcotest.(check int) "the crash emptied the queue" 0 after;
+  Alcotest.(check int) "nothing left the old address" 0 (Socket.received probe)
+
+(* Every incarnation stays reachable here, as in a caller that keeps
+   them (perfbench's boot-storm does). Six power cycles of READ traffic
+   that fills the reply cache with 8 KiB replies: a crashed incarnation
+   must not keep its cache, so the live heap stops growing with the
+   cycle count. *)
+let test_crash_releases_replies () =
+  let rig = make () in
+  let blocks = 512 in
+  let total = blocks * 8192 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live, emptied =
+    run rig (fun () ->
+        let fh, _ = Client.create_file rig.client (root rig) "boot" in
+        ignore (write_file rig fh ~total ());
+        let servers = ref [ rig.server ] in
+        let live = Array.make 7 0 and emptied = ref true in
+        for cycle = 1 to 6 do
+          ignore (Client.read rig.client fh ~off:0 ~len:total : Bytes.t);
+          let old = List.hd !servers in
+          let dc = Option.get (Server.dupcache old) in
+          if Nfsg_rpc.Dupcache.entries dc = 0 then Alcotest.fail "READs left no cached replies";
+          Server.crash old;
+          emptied := !emptied && Nfsg_rpc.Dupcache.entries dc = 0;
+          servers := Server.restart old :: !servers;
+          live.(cycle) <- live_words ()
+        done;
+        ignore (Sys.opaque_identity !servers);
+        (live, !emptied))
+  in
+  Alcotest.(check bool) "crash empties the dupcache" true emptied;
+  let growth = (live.(6) - live.(2)) * (Sys.word_size / 8) in
+  if growth >= 1024 * 1024 then
+    Alcotest.failf "live heap grew %d KiB from cycle 2 to cycle 6" (growth / 1024)
+
 let suite =
   [
     Alcotest.test_case "gathering, crash early" `Quick test_gathering_early;
@@ -115,4 +176,7 @@ let suite =
     Alcotest.test_case "presto + gathering crash" `Quick test_presto_gathering;
     Alcotest.test_case "presto + standard crash" `Quick test_presto_standard;
     Alcotest.test_case "crash-instant sweep" `Slow test_crash_sweep;
+    Alcotest.test_case "crash silences the old socket" `Quick test_crash_silences_socket;
+    Alcotest.test_case "crashed incarnations release their replies" `Quick
+      test_crash_releases_replies;
   ]

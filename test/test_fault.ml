@@ -190,7 +190,7 @@ let raw_rpc eng segment addr =
   Rpc_client.create eng ~sock ~server:"server" ()
 
 let call_res rpc ~proc args =
-  match Rpc_client.call rpc ~proc (Proto.encode_args args) with
+  match Rpc_client.call rpc ~proc (Proto.args_body args) with
   | Rpc.Success, body -> Proto.decode_res ~proc body
   | _, _ -> Alcotest.failf "rpc accept_stat not success for proc %d" proc
 

@@ -5,12 +5,12 @@ let fh inum gen = { Proto.fsid = 1; vgen = 1; inum; gen }
 
 let roundtrip_args args =
   let proc = Proto.proc_of_args args in
-  Proto.decode_args ~proc (Xdr.view_of_bytes (Proto.encode_args args))
+  Proto.decode_args ~proc (Testbed.args_view args)
 
 (* WRITE data is a view after decoding, so structural equality on the
    args would compare backing buffers; re-encoding instead compares
    the wire form, which is what a roundtrip means. *)
-let args_eq a b = Proto.encode_args a = Proto.encode_args b
+let args_eq a b = Xdr.view_equal (Testbed.args_view a) (Testbed.args_view b)
 
 let sample_args =
   [
@@ -62,7 +62,7 @@ let sample_fattr =
     ctime = { Proto.sec = 12; usec = 700 };
   }
 
-let roundtrip_res ~proc res = Proto.decode_res ~proc (Xdr.view_of_bytes (Proto.encode_res res))
+let roundtrip_res ~proc res = Proto.decode_res ~proc (Testbed.res_view res)
 
 let sample_res =
   [
@@ -120,16 +120,7 @@ let test_timeval_conversion () =
 
 let test_peek_write () =
   let args = Proto.Write { fh = fh 55 9; offset = 24576; data = Xdr.view_of_bytes (Bytes.make 8192 'd') } in
-  let call =
-    Nfsg_rpc.Rpc.encode_call
-      {
-        Nfsg_rpc.Rpc.xid = 77;
-        prog = Nfsg_rpc.Rpc.nfs_program;
-        vers = 2;
-        proc = Proto.proc_write;
-        body = Xdr.view_of_bytes (Proto.encode_args args);
-      }
-  in
+  let call = Testbed.call_frame ~xid:77 args in
   (match Proto.peek_write call with
   | Some (f, off, len) ->
       Alcotest.(check int) "inum" 55 f.Proto.inum;
@@ -137,16 +128,7 @@ let test_peek_write () =
       Alcotest.(check int) "len" 8192 len
   | None -> Alcotest.fail "peek_write missed a WRITE");
   (* A READ call must not match. *)
-  let read_call =
-    Nfsg_rpc.Rpc.encode_call
-      {
-        Nfsg_rpc.Rpc.xid = 78;
-        prog = Nfsg_rpc.Rpc.nfs_program;
-        vers = 2;
-        proc = Proto.proc_read;
-        body = Xdr.view_of_bytes (Proto.encode_args (Proto.Read { fh = fh 55 9; offset = 0; count = 100 }));
-      }
-  in
+  let read_call = Testbed.call_frame ~xid:78 (Proto.Read { fh = fh 55 9; offset = 0; count = 100 }) in
   Alcotest.(check bool) "read ignored" true (Proto.peek_write read_call = None);
   Alcotest.(check bool) "garbage ignored" true (Proto.peek_write (Bytes.make 3 'x') = None)
 
@@ -173,23 +155,21 @@ let prop_write_args_roundtrip =
 
 module Rpc = Nfsg_rpc.Rpc
 
+(* Seed frames come from the one encode path; the bare bodies are the
+   frames minus their headers. *)
 let seed_frames =
   let calls =
     List.mapi
       (fun i args ->
         let proc = Proto.proc_of_args args in
-        let body = Proto.encode_args args in
-        let call =
-          { Rpc.xid = i; prog = Rpc.nfs_program; vers = 2; proc; body = Xdr.view_of_bytes body }
-        in
-        [ (proc, Rpc.encode_call call); (proc, body) ])
+        let frame = Testbed.call_frame ~xid:i args in
+        [ (proc, frame); (proc, Xdr.view_copy (Rpc.decode_call frame).Rpc.body) ])
       sample_args
   and replies =
     List.mapi
       (fun i (proc, res) ->
-        let body = Proto.encode_res res in
-        let reply = { Rpc.rxid = i; stat = Rpc.Success; rbody = Xdr.view_of_bytes body } in
-        [ (proc, Rpc.encode_reply reply); (proc, body) ])
+        let frame = Testbed.reply_frame ~xid:i res in
+        [ (proc, frame); (proc, Xdr.view_copy (Rpc.decode_reply frame).Rpc.rbody) ])
       sample_res
   in
   Array.of_list (List.concat (calls @ replies))
@@ -262,6 +242,368 @@ let prop_damaged_frames_rejected_cleanly =
       only_xdr_errors_escape ~proc (List.fold_left apply_mutation frame mutations);
       true)
 
+(* {1 One-pass framing against the two-pass reference}
+
+   Frames used to be built in two passes: the arguments or results were
+   encoded into a buffer of their own, which was then copied behind a
+   freshly encoded RPC header. Those encoders are kept here as the
+   reference model; every frame the one-pass path builds must equal
+   theirs byte for byte. *)
+
+module Two_pass = struct
+  module Enc = Xdr.Enc
+
+  let put_fh enc (fh : Proto.fh) =
+    let b = Bytes.make Proto.fh_bytes '\000' in
+    Bytes.set_int32_be b 0 (Int32.of_int fh.fsid);
+    Bytes.set_int32_be b 4 (Int32.of_int fh.vgen);
+    Bytes.set_int32_be b 8 (Int32.of_int fh.inum);
+    Bytes.set_int32_be b 12 (Int32.of_int fh.gen);
+    Enc.opaque_fixed enc b
+
+  let put_timeval enc (tv : Proto.timeval) =
+    Enc.uint32 enc tv.sec;
+    Enc.uint32 enc tv.usec
+
+  let ftype_to_int = function Proto.NFNON -> 0 | NFREG -> 1 | NFDIR -> 2 | NFLNK -> 5
+  let stable_to_int = function Proto.Unstable -> 0 | Data_sync -> 1 | File_sync -> 2
+  let put_status enc st = Enc.enum enc (Proto.status_to_int st)
+
+  let put_fattr enc (a : Proto.fattr) =
+    Enc.enum enc (ftype_to_int a.ftype);
+    List.iter (Enc.uint32 enc)
+      [ a.mode; a.nlink; a.uid; a.gid; a.size; a.blocksize; a.rdev; a.blocks; a.fsid; a.fileid ];
+    put_timeval enc a.atime;
+    put_timeval enc a.mtime;
+    put_timeval enc a.ctime
+
+  let put_sattr enc (s : Proto.sattr) =
+    let u32_or_neg v = if v < 0 then 0xFFFFFFFF else v in
+    List.iter (fun v -> Enc.uint32 enc (u32_or_neg v)) [ s.s_mode; s.s_uid; s.s_gid; s.s_size ];
+    let tv = function
+      | Some tv -> put_timeval enc tv
+      | None -> put_timeval enc { Proto.sec = 0xFFFFFFFF; usec = 0xFFFFFFFF }
+    in
+    tv s.s_atime;
+    tv s.s_mtime
+
+  let encode_args (args : Proto.args) =
+    let enc = Enc.create () in
+    (match args with
+    | Null -> ()
+    | Getattr fh | Statfs fh | Readlink fh -> put_fh enc fh
+    | Symlink { dir; name; target; sattr } ->
+        put_fh enc dir;
+        Enc.string enc name;
+        Enc.string enc target;
+        put_sattr enc sattr
+    | Setattr (fh, sattr) ->
+        put_fh enc fh;
+        put_sattr enc sattr
+    | Lookup (fh, name) ->
+        put_fh enc fh;
+        Enc.string enc name
+    | Read { fh; offset; count } ->
+        put_fh enc fh;
+        List.iter (Enc.uint32 enc) [ offset; count; 0 ]
+    | Write { fh; offset; data } ->
+        put_fh enc fh;
+        List.iter (Enc.uint32 enc) [ 0; offset; 0 ];
+        Enc.opaque_view enc data
+    | Create { dir; name; sattr } | Mkdir { dir; name; sattr } ->
+        put_fh enc dir;
+        Enc.string enc name;
+        put_sattr enc sattr
+    | Remove { dir; name } | Rmdir { dir; name } ->
+        put_fh enc dir;
+        Enc.string enc name
+    | Rename { from_dir; from_name; to_dir; to_name } ->
+        put_fh enc from_dir;
+        Enc.string enc from_name;
+        put_fh enc to_dir;
+        Enc.string enc to_name
+    | Readdir { fh; cookie; count } ->
+        put_fh enc fh;
+        Enc.uint32 enc cookie;
+        Enc.uint32 enc count
+    | Write3 { fh; offset; stable; data } ->
+        put_fh enc fh;
+        Enc.uint64 enc offset;
+        Enc.uint32 enc (Xdr.view_length data);
+        Enc.enum enc (stable_to_int stable);
+        Enc.opaque_view enc data
+    | Commit { fh; offset; count } ->
+        put_fh enc fh;
+        Enc.uint64 enc offset;
+        Enc.uint32 enc count);
+    Enc.to_bytes enc
+
+  let encode_res (res : Proto.res) =
+    let enc = Enc.create () in
+    let ok () = put_status enc Proto.NFS_OK in
+    (match res with
+    | RNull -> ()
+    | RStatus st
+    | RAttr (Error st)
+    | RDirop (Error st)
+    | RRead (Error st)
+    | RReaddir (Error st)
+    | RStatfs (Error st)
+    | RReadlink (Error st)
+    | RWrite3 (Error st)
+    | RCommit (Error st) ->
+        put_status enc st
+    | RAttr (Ok a) ->
+        ok ();
+        put_fattr enc a
+    | RDirop (Ok (fh, a)) ->
+        ok ();
+        put_fh enc fh;
+        put_fattr enc a
+    | RRead (Ok (a, data)) ->
+        ok ();
+        put_fattr enc a;
+        Enc.opaque enc data
+    | RReaddir (Ok (entries, eof)) ->
+        ok ();
+        List.iteri
+          (fun i (name, fileid) ->
+            Enc.bool enc true;
+            Enc.uint32 enc fileid;
+            Enc.string enc name;
+            Enc.uint32 enc (i + 1))
+          entries;
+        Enc.bool enc false;
+        Enc.bool enc eof
+    | RStatfs (Ok s) ->
+        ok ();
+        List.iter (Enc.uint32 enc) [ s.tsize; s.bsize; s.blocks; s.bfree; s.bavail ]
+    | RReadlink (Ok target) ->
+        ok ();
+        Enc.string enc target
+    | RWrite3 (Ok (a, stable, verf)) ->
+        ok ();
+        put_fattr enc a;
+        Enc.enum enc (stable_to_int stable);
+        Enc.uint64 enc verf
+    | RCommit (Ok (a, verf)) ->
+        ok ();
+        put_fattr enc a;
+        Enc.uint64 enc verf);
+    Enc.to_bytes enc
+
+  (* AUTH_NULL credentials and verifier, then the body copied behind. *)
+  let encode_call ~xid ~proc body =
+    let enc = Enc.create () in
+    List.iter (Enc.uint32 enc) [ xid; 0; 2; Rpc.nfs_program; Rpc.nfs_version; proc; 0; 0; 0; 0 ];
+    Enc.raw enc body;
+    Enc.to_bytes enc
+
+  let encode_reply ~xid body =
+    let enc = Enc.create () in
+    List.iter (Enc.uint32 enc) [ xid; 1; 0; 0; 0; 0 ];
+    Enc.raw enc body;
+    Enc.to_bytes enc
+end
+
+(* Random messages of every shape, with payload and string lengths on
+   and off the 4-byte grain. *)
+let gen_fh =
+  QCheck.Gen.(
+    map
+      (fun (fsid, inum, gen) -> { Proto.fsid; vgen = 1; inum; gen })
+      (triple (int_bound 7) (int_bound 100_000) (int_bound 1000)))
+
+let gen_name = QCheck.Gen.(string_size ~gen:printable (int_range 0 21))
+
+let gen_payload =
+  QCheck.Gen.(
+    map
+      (fun n -> Xdr.view_of_bytes (Bytes.init n (fun i -> Char.chr (((i * 7) + n) land 255))))
+      (oneof [ int_bound 9; int_range 8185 8199; int_bound 9000 ]))
+
+let gen_sattr =
+  QCheck.Gen.(
+    map
+      (fun (size, mtime) ->
+        {
+          Proto.sattr_none with
+          Proto.s_size = size;
+          s_mtime = Option.map (fun sec -> { Proto.sec; usec = 0 }) mtime;
+        })
+      (pair (int_range (-1) 100_000) (opt (int_bound 1_000_000))))
+
+let gen_fattr =
+  QCheck.Gen.(
+    map
+      (fun (size, fileid, sec) ->
+        let tv = { Proto.sec; usec = sec mod 1_000_000 } in
+        { sample_fattr with Proto.size; fileid; atime = tv; mtime = tv; ctime = tv })
+      (triple (int_bound 1_000_000) (int_bound 100_000) (int_bound 2_000_000_000)))
+
+let gen_stable = QCheck.Gen.oneofl [ Proto.Unstable; Proto.Data_sync; Proto.File_sync ]
+
+let gen_args =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Proto.Null;
+      map (fun fh -> Proto.Getattr fh) gen_fh;
+      map2 (fun fh s -> Proto.Setattr (fh, s)) gen_fh gen_sattr;
+      map2 (fun fh n -> Proto.Lookup (fh, n)) gen_fh gen_name;
+      map3 (fun fh offset count -> Proto.Read { fh; offset; count }) gen_fh (int_bound 1_000_000) (int_bound 8192);
+      map3 (fun fh offset data -> Proto.Write { fh; offset; data }) gen_fh (int_bound 1_000_000) gen_payload;
+      map3 (fun dir name sattr -> Proto.Create { dir; name; sattr }) gen_fh gen_name gen_sattr;
+      map2 (fun dir name -> Proto.Remove { dir; name }) gen_fh gen_name;
+      map4
+        (fun from_dir from_name to_dir to_name -> Proto.Rename { from_dir; from_name; to_dir; to_name })
+        gen_fh gen_name gen_fh gen_name;
+      map3 (fun dir name sattr -> Proto.Mkdir { dir; name; sattr }) gen_fh gen_name gen_sattr;
+      map2 (fun dir name -> Proto.Rmdir { dir; name }) gen_fh gen_name;
+      map3 (fun fh cookie count -> Proto.Readdir { fh; cookie; count }) gen_fh (int_bound 100) (int_bound 8192);
+      map (fun fh -> Proto.Statfs fh) gen_fh;
+      map (fun fh -> Proto.Readlink fh) gen_fh;
+      map4
+        (fun dir name target sattr -> Proto.Symlink { dir; name; target; sattr })
+        gen_fh gen_name gen_name gen_sattr;
+      map4
+        (fun fh offset stable data -> Proto.Write3 { fh; offset; stable; data })
+        gen_fh (int_bound (1 lsl 40)) gen_stable gen_payload;
+      map3 (fun fh offset count -> Proto.Commit { fh; offset; count }) gen_fh (int_bound (1 lsl 40)) (int_bound 65536);
+    ]
+
+let gen_status =
+  QCheck.Gen.oneofl
+    [ Proto.NFSERR_NOENT; Proto.NFSERR_IO; Proto.NFSERR_NOSPC; Proto.NFSERR_ROFS; Proto.NFSERR_STALE ]
+
+let gen_res =
+  let open QCheck.Gen in
+  let either ok = oneof [ map (fun v -> Ok v) ok; map (fun st -> Error st) gen_status ] in
+  oneof
+    [
+      return Proto.RNull;
+      map (fun st -> Proto.RStatus st) gen_status;
+      map (fun r -> Proto.RAttr r) (either gen_fattr);
+      map (fun r -> Proto.RDirop r) (either (pair gen_fh gen_fattr));
+      map (fun r -> Proto.RRead r) (either (pair gen_fattr (map Xdr.view_copy gen_payload)));
+      map
+        (fun r -> Proto.RReaddir r)
+        (either (pair (list_size (int_bound 6) (pair gen_name (int_bound 1000))) bool));
+      map
+        (fun r -> Proto.RStatfs r)
+        (either
+           (map
+              (fun (blocks, bfree) -> { Proto.tsize = 8192; bsize = 8192; blocks; bfree; bavail = bfree })
+              (pair (int_bound 100_000) (int_bound 100_000))));
+      map (fun r -> Proto.RReadlink r) (either gen_name);
+      map (fun r -> Proto.RWrite3 r) (either (triple gen_fattr gen_stable (int_bound 1000)));
+      map (fun r -> Proto.RCommit r) (either (pair gen_fattr (int_bound 1000)));
+    ]
+
+let show_frame b = Printf.sprintf "%d bytes" (Bytes.length b)
+
+let prop_frames_match_two_pass =
+  QCheck.Test.make ~name:"one-pass frames equal the two-pass reference" ~count:500
+    (QCheck.make QCheck.Gen.(triple (int_bound 0xFFFF) gen_args gen_res))
+    (fun (xid, args, res) ->
+      let call = Testbed.call_frame ~xid args in
+      let want_call =
+        Two_pass.encode_call ~xid ~proc:(Proto.proc_of_args args) (Two_pass.encode_args args)
+      in
+      let reply = Testbed.reply_frame ~xid res in
+      let want_reply = Two_pass.encode_reply ~xid (Two_pass.encode_res res) in
+      if not (Bytes.equal call want_call) then
+        QCheck.Test.fail_reportf "call %s differs from reference %s" (show_frame call) (show_frame want_call);
+      if not (Bytes.equal reply want_reply) then
+        QCheck.Test.fail_reportf "reply %s differs from reference %s" (show_frame reply)
+          (show_frame want_reply);
+      true)
+
+(* READ replies built the server's way: status and attributes slot
+   first, the data straight out of the buffer cache, the slot filled
+   last. The file has holes, a zero-length region inside a written
+   block and an odd-length tail, and reads start and end anywhere,
+   past EOF included. Expected bytes come from a model of the file, not
+   from the filesystem's own read. *)
+module Fs = Nfsg_ufs.Fs
+
+let read_world =
+  lazy
+    (let eng = Nfsg_sim.Engine.create () in
+     let dev =
+       Nfsg_disk.Disk.create eng (Nfsg_disk.Disk.rz26 ~capacity:(16 * 1024 * 1024) ())
+     in
+     Fs.mkfs dev ();
+     let fs = Fs.mount eng dev in
+     let size = (5 * 8192) + 1234 in
+     let model = Bytes.make size '\000' in
+     let put off n seed =
+       let data = Bytes.init n (fun i -> Char.chr (((i * 13) + seed) land 255)) in
+       Bytes.blit data 0 model off n;
+       (off, data)
+     in
+     let writes =
+       [ put 0 8192 1; put ((2 * 8192) + 100) 50 2; put (4 * 8192) 8192 3; put (5 * 8192) 1234 4 ]
+     in
+     let ino = ref None in
+     Nfsg_sim.Engine.spawn eng (fun () ->
+         let f = Fs.create fs (Fs.root fs) "holes" Nfsg_ufs.Layout.Regular in
+         List.iter (fun (off, data) -> Fs.write fs f ~off data ~mode:Fs.Delay_data) writes;
+         ino := Some f);
+     Nfsg_sim.Engine.run eng;
+     (eng, fs, Option.get !ino, model))
+
+let server_read_frame ~xid ~off ~count =
+  let eng, fs, ino, _ = Lazy.force read_world in
+  let frame = ref None in
+  Nfsg_sim.Engine.spawn eng (fun () ->
+      let body, head = Proto.read_reply () in
+      Fs.read_ahead fs ino ~stream:0 ~off ~len:count (Rpc.body_enc body);
+      Proto.fill_read_ok head sample_fattr;
+      frame := Some (Rpc.frame_reply body ~xid Rpc.Success));
+  Nfsg_sim.Engine.run eng;
+  Option.get !frame
+
+let prop_read_frames_match_two_pass =
+  let _, _, _, model = Lazy.force read_world in
+  let size = Bytes.length model in
+  QCheck.Test.make ~name:"READ replies from the cache equal the two-pass reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (off, count) -> Printf.sprintf "off %d, count %d" off count)
+        Gen.(
+          pair
+            (oneof [ int_bound (size + 8192); map (fun b -> b * 8192) (int_bound 6); return size ])
+            (oneof [ return 0; return 8192; int_bound 9000 ])))
+    (fun (off, count) ->
+      let data = Bytes.sub model (min off size) (max 0 (min count (size - off))) in
+      let want =
+        Two_pass.encode_reply ~xid:off (Two_pass.encode_res (Proto.RRead (Ok (sample_fattr, data))))
+      in
+      Bytes.equal (server_read_frame ~xid:off ~off ~count) want)
+
+let test_frame_twice_raises () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  let call = Proto.args_body (Proto.Getattr (fh 3 1)) in
+  ignore (Rpc.frame_call call ~xid:1 ~prog:Rpc.nfs_program ~vers:2 ~proc:Proto.proc_getattr);
+  raises "framing a call twice" (fun () ->
+      Rpc.frame_call call ~xid:2 ~prog:Rpc.nfs_program ~vers:2 ~proc:Proto.proc_getattr);
+  let reply = Proto.res_body (Proto.RStatus Proto.NFS_OK) in
+  ignore (Rpc.frame_reply reply ~xid:1 Rpc.Success);
+  raises "framing a reply twice" (fun () -> Rpc.frame_reply reply ~xid:1 Rpc.Success);
+  raises "framing a reply body as a call" (fun () ->
+      Rpc.frame_call (Rpc.reply_body ()) ~xid:1 ~prog:Rpc.nfs_program ~vers:2 ~proc:0);
+  raises "framing a call body as a reply" (fun () ->
+      Rpc.frame_reply (Rpc.call_body ()) ~xid:1 Rpc.Success);
+  let body, head = Proto.read_reply () in
+  raises "framing over an unfilled slot" (fun () -> Rpc.frame_reply body ~xid:1 Rpc.Success);
+  Proto.fill_read_ok head sample_fattr;
+  raises "filling a slot twice" (fun () -> Proto.fill_read_ok head sample_fattr)
+
 let suite =
   [
     Alcotest.test_case "all argument types roundtrip" `Quick test_args_roundtrip;
@@ -271,4 +613,7 @@ let suite =
     Alcotest.test_case "peek_write classifies datagrams" `Quick test_peek_write;
     QCheck_alcotest.to_alcotest prop_write_args_roundtrip;
     QCheck_alcotest.to_alcotest prop_damaged_frames_rejected_cleanly;
+    QCheck_alcotest.to_alcotest prop_frames_match_two_pass;
+    QCheck_alcotest.to_alcotest prop_read_frames_match_two_pass;
+    Alcotest.test_case "framing a body twice raises" `Quick test_frame_twice_raises;
   ]

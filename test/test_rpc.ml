@@ -4,28 +4,31 @@ module Segment = Nfsg_net.Segment
 module Socket = Nfsg_net.Socket
 
 let test_call_roundtrip () =
-  let call =
-    { Rpc.xid = 42; prog = Rpc.nfs_program; vers = 2; proc = 8;
-      body = Xdr.view_of_bytes (Bytes.of_string "args") }
+  let args = Bytes.of_string "args" in
+  let decoded =
+    Rpc.decode_call
+      (Rpc.frame_call (Testbed.raw_call "args") ~xid:42 ~prog:Rpc.nfs_program ~vers:2 ~proc:8)
   in
-  let decoded = Rpc.decode_call (Rpc.encode_call call) in
   Alcotest.(check bool) "roundtrip" true
-    (decoded.Rpc.xid = call.Rpc.xid && decoded.Rpc.prog = call.Rpc.prog
-    && decoded.Rpc.vers = call.Rpc.vers && decoded.Rpc.proc = call.Rpc.proc
-    && Xdr.view_equal decoded.Rpc.body call.Rpc.body)
+    (decoded.Rpc.xid = 42 && decoded.Rpc.prog = Rpc.nfs_program && decoded.Rpc.vers = 2
+    && decoded.Rpc.proc = 8
+    && Xdr.view_equal decoded.Rpc.body (Xdr.view_of_bytes args))
 
 let reply_eq a b =
   a.Rpc.rxid = b.Rpc.rxid && a.Rpc.stat = b.Rpc.stat && Xdr.view_equal a.Rpc.rbody b.Rpc.rbody
 
+let frame_reply (r : Rpc.reply) =
+  Rpc.frame_reply (Testbed.raw_reply (Xdr.view_copy r.Rpc.rbody)) ~xid:r.Rpc.rxid r.Rpc.stat
+
 let test_reply_roundtrip () =
   let reply = { Rpc.rxid = 42; stat = Rpc.Success; rbody = Xdr.view_of_bytes (Bytes.of_string "result") } in
-  Alcotest.(check bool) "roundtrip" true (reply_eq (Rpc.decode_reply (Rpc.encode_reply reply)) reply);
+  Alcotest.(check bool) "roundtrip" true (reply_eq (Rpc.decode_reply (frame_reply reply)) reply);
   let err = { Rpc.rxid = 1; stat = Rpc.Garbage_args; rbody = Xdr.empty_view } in
-  Alcotest.(check bool) "error roundtrip" true (reply_eq (Rpc.decode_reply (Rpc.encode_reply err)) err)
+  Alcotest.(check bool) "error roundtrip" true (reply_eq (Rpc.decode_reply (frame_reply err)) err)
 
 let test_is_call_classifier () =
-  let call = Rpc.encode_call { Rpc.xid = 1; prog = 1; vers = 1; proc = 1; body = Xdr.empty_view } in
-  let reply = Rpc.encode_reply { Rpc.rxid = 1; stat = Rpc.Success; rbody = Xdr.empty_view } in
+  let call = Rpc.frame_call (Rpc.call_body ()) ~xid:1 ~prog:1 ~vers:1 ~proc:1 in
+  let reply = Rpc.frame_reply (Rpc.reply_body ()) ~xid:1 Rpc.Success in
   Alcotest.(check bool) "call" true (Rpc.is_call call);
   Alcotest.(check bool) "reply" false (Rpc.is_call reply);
   Alcotest.(check bool) "short garbage" false (Rpc.is_call (Bytes.make 3 'x'))
@@ -361,7 +364,7 @@ let echo_rig ?(loss = 0.0) ?(with_dupcache = false) () =
     Svc.create eng ~sock:ssock ?dupcache ~nfsds:2
       ~dispatch:(fun _tr call ->
         incr svc_calls;
-        Svc.Reply (Rpc.Success, Xdr.view_copy call.Rpc.body))
+        Svc.Reply (Rpc.Success, Testbed.raw_reply (Xdr.view_copy call.Rpc.body)))
       ()
   in
   let csock = Socket.create segment ~addr:"client" () in
@@ -385,7 +388,7 @@ let run_driver eng f =
 let test_echo_roundtrip () =
   let eng, _svc, rpc, _ = echo_rig () in
   run_driver eng (fun () ->
-      let stat, body = Rpc_client.call rpc ~proc:1 (Bytes.of_string "ping") in
+      let stat, body = Rpc_client.call rpc ~proc:1 (Testbed.raw_call "ping") in
       Alcotest.(check bool) "success" true (stat = Rpc.Success);
       Alcotest.(check string) "echoed" "ping" (Xdr.view_to_string body));
   Alcotest.(check int) "one send, no retries" 0 (Rpc_client.retransmissions rpc)
@@ -395,7 +398,7 @@ let test_retransmission_on_loss () =
   let eng, _svc, rpc, _ = echo_rig ~loss:0.35 () in
   run_driver eng (fun () ->
       for i = 1 to 10 do
-        let stat, body = Rpc_client.call rpc ~proc:1 (Bytes.of_string (string_of_int i)) in
+        let stat, body = Rpc_client.call rpc ~proc:1 (Testbed.raw_call (string_of_int i)) in
         Alcotest.(check bool) "success" true (stat = Rpc.Success);
         Alcotest.(check string) "echoed" (string_of_int i) (Xdr.view_to_string body)
       done);
@@ -407,7 +410,7 @@ let test_dupcache_suppresses_reexecution () =
   let eng, _svc, rpc, svc_calls = echo_rig ~loss:0.35 ~with_dupcache:true () in
   run_driver eng (fun () ->
       for i = 1 to 20 do
-        ignore (Rpc_client.call rpc ~proc:1 (Bytes.of_string (string_of_int i)))
+        ignore (Rpc_client.call rpc ~proc:1 (Testbed.raw_call (string_of_int i)))
       done);
   Alcotest.(check bool) "retransmissions happened" true (Rpc_client.retransmissions rpc > 0);
   Alcotest.(check int) "each call executed exactly once" 20 !svc_calls
@@ -417,7 +420,7 @@ let test_rtt_adaptation () =
   run_driver eng (fun () ->
       Alcotest.(check bool) "no estimate yet" true (Rpc_client.rtt_estimate rpc Rpc_client.Heavy = None);
       for _ = 1 to 5 do
-        ignore (Rpc_client.call rpc ~klass:Rpc_client.Heavy ~proc:1 (Bytes.make 8192 'x'))
+        ignore (Rpc_client.call rpc ~klass:Rpc_client.Heavy ~proc:1 (Testbed.raw_call (String.make 8192 'x')))
       done;
       match Rpc_client.rtt_estimate rpc Rpc_client.Heavy with
       | None -> Alcotest.fail "no RTT estimate after calls"
@@ -443,13 +446,13 @@ let test_delayed_reply_architecture () =
   svc_box := Some svc;
   Engine.spawn eng ~name:"metadata-writer" (fun () ->
       Engine.delay (Time.ms 30);
-      List.iter (fun (tr, body) -> Svc.send_reply svc tr Rpc.Success body) (List.rev !pending));
+      List.iter (fun (tr, body) -> Svc.send_reply svc tr Rpc.Success (Testbed.raw_reply body)) (List.rev !pending));
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
   let got = ref "" in
   let t_done = ref 0 in
   Engine.spawn eng ~name:"caller" (fun () ->
-      let _, body = Rpc_client.call rpc ~proc:8 (Bytes.of_string "deferred") in
+      let _, body = Rpc_client.call rpc ~proc:8 (Testbed.raw_call "deferred") in
       got := Xdr.view_to_string body;
       t_done := Engine.now eng);
   Engine.run eng;
@@ -468,8 +471,8 @@ let test_double_reply_rejected () =
     Svc.create eng ~sock:ssock ~nfsds:1
       ~dispatch:(fun tr _call ->
         let svc = Option.get !svc_ref in
-        Svc.send_reply svc tr Rpc.Success (Bytes.create 0);
-        (try Svc.send_reply svc tr Rpc.Success (Bytes.create 0)
+        Svc.send_reply svc tr Rpc.Success (Rpc.reply_body ());
+        (try Svc.send_reply svc tr Rpc.Success (Rpc.reply_body ())
          with Invalid_argument _ -> failed := true);
         Svc.Reply_pending)
       ()
@@ -477,7 +480,7 @@ let test_double_reply_rejected () =
   svc_ref := Some svc;
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
-  run_driver eng (fun () -> ignore (Rpc_client.call rpc ~proc:0 (Bytes.create 0)));
+  run_driver eng (fun () -> ignore (Rpc_client.call rpc ~proc:0 (Rpc.call_body ())));
   Alcotest.(check bool) "second reply rejected" true !failed
 
 let test_garbage_counted () =
@@ -486,7 +489,7 @@ let test_garbage_counted () =
   let ssock = Socket.create segment ~addr:"server" () in
   let svc =
     Svc.create eng ~sock:ssock ~nfsds:1
-      ~dispatch:(fun _ _ -> Svc.Reply (Rpc.Success, Bytes.create 0))
+      ~dispatch:(fun _ _ -> Svc.Reply (Rpc.Success, Rpc.reply_body ()))
       ()
   in
   let junk_sock = Socket.create segment ~addr:"junk" () in
@@ -505,13 +508,13 @@ let test_truncated_write_garbage_args () =
            Xdr.Decode_error escapes the dispatch and Svc must map it to
            GARBAGE_ARGS rather than SYSTEM_ERR. *)
         match Nfsg_nfs.Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body with
-        | _ -> Svc.Reply (Rpc.Success, Bytes.create 0))
+        | _ -> Svc.Reply (Rpc.Success, Rpc.reply_body ()))
       ()
   in
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
   let full =
-    Nfsg_nfs.Proto.encode_args
+    Testbed.args_view
       (Nfsg_nfs.Proto.Write
          {
            fh = { Nfsg_nfs.Proto.fsid = 1; vgen = 1; inum = 2; gen = 1 };
@@ -521,7 +524,7 @@ let test_truncated_write_garbage_args () =
   in
   (* Cut the opaque payload short: still well-framed RPC, but the WRITE
      data's declared length now runs past the end of the body. *)
-  let truncated = Bytes.sub full 0 (Bytes.length full - 4000) in
+  let truncated = Testbed.raw_call (String.sub (Xdr.view_to_string full) 0 (Xdr.view_length full - 4000)) in
   let stat, _ =
     run_driver eng (fun () ->
         Rpc_client.call rpc ~proc:Nfsg_nfs.Proto.proc_write truncated)

@@ -97,6 +97,17 @@ let test_laddis_server_saw_the_mix () =
   Alcotest.(check bool) "reads present" true (count Proto.proc_read > 0);
   Alcotest.(check bool) "getattrs present" true (count Proto.proc_getattr > 0)
 
+(* The tape-built chunks against the per-byte formula, including
+   chunks longer than the tape (one period plus a block) and phases
+   across its end. *)
+let prop_chunk_matches_formula =
+  QCheck.Test.make ~name:"file writer chunks match the pattern formula" ~count:300
+    QCheck.(triple (int_bound 1_000_000) (int_bound 20_000) (int_bound 10_000))
+    (fun (pos, len, seed) ->
+      Bytes.equal (FW.chunk ~pos ~len ~seed)
+        (Bytes.init len (fun i -> Char.chr ((pos + i + seed) mod 251)))
+      && Bytes.equal (FW.pattern ~total:len ~seed) (FW.chunk ~pos:0 ~len ~seed))
+
 let suite =
   [
     Alcotest.test_case "file writer accounting" `Quick test_file_writer_result;
@@ -106,4 +117,5 @@ let suite =
     Alcotest.test_case "laddis saturates honestly" `Quick test_laddis_saturates;
     Alcotest.test_case "laddis runs are deterministic" `Quick test_laddis_deterministic;
     Alcotest.test_case "laddis exercises the op mix" `Quick test_laddis_server_saw_the_mix;
+    QCheck_alcotest.to_alcotest prop_chunk_matches_formula;
   ]

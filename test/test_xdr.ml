@@ -187,13 +187,8 @@ let ref_attr =
     ctime = tv 13;
   }
 
-let call ~xid args =
-  Rpc.encode_call
-    { Rpc.xid; prog = Rpc.nfs_program; vers = Rpc.nfs_version; proc = P.proc_of_args args;
-      body = Xdr.view_of_bytes (P.encode_args args) }
-
-let reply ~xid res =
-  Rpc.encode_reply { Rpc.rxid = xid; stat = Rpc.Success; rbody = Xdr.view_of_bytes (P.encode_res res) }
+let call ~xid args = Testbed.call_frame ~xid args
+let reply ~xid res = Testbed.reply_frame ~xid res
 
 let check_frame what want got = Alcotest.(check string) what (Bytes.to_string want) (Bytes.to_string got)
 
@@ -272,9 +267,9 @@ let test_readdir_matches_reference () =
          Ref.u32 b 1))
     (reply ~xid:12 (P.RReaddir (Ok (entries, true))))
 
-(* Exact sizing: encoding an 8 KiB WRITE copies the payload twice (into
-   the arguments, then into the frame) and allocates nothing else of
-   its size. *)
+(* Exact sizing: encoding an 8 KiB WRITE allocates no more than two
+   payload copies, the ceiling of the old two-pass path (arguments,
+   then frame). The one-pass path is held to one copy below. *)
 let test_write_encoding_allocates_two_copies () =
   let data = Xdr.view_of_bytes (Bytes.make 8192 'w') in
   let args = P.Write { fh = ref_fh; offset = 0; data } in
@@ -303,6 +298,16 @@ let test_to_bytes_survives_appends () =
   Alcotest.(check int) "appends after to_bytes land" 20 (Bytes.length all);
   Alcotest.(check bytes) "earlier bytes carried over" full_copy (Bytes.sub all 0 8)
 
+(* One-pass framing: the arguments are encoded straight into the frame
+   behind its reserved header, so an 8 KiB WRITE allocates its payload
+   once, in the buffer that goes on the wire, and little else. *)
+let test_write_frame_is_the_only_copy () =
+  let data = Xdr.view_of_bytes (Bytes.make 8192 'w') in
+  let args = P.Write { fh = ref_fh; offset = 0; data } in
+  let frame, bytes = Testbed.allocated_bytes (fun () -> call ~xid:1 args) in
+  Alcotest.(check int) "frame size" (40 + 32 + 12 + 4 + 8192) (Bytes.length frame);
+  if bytes > 1.1 *. 8192.0 then Alcotest.failf "framing an 8 KiB WRITE allocated %.0f bytes" bytes
+
 let suite =
   [
     Alcotest.test_case "integers roundtrip" `Quick test_int_roundtrips;
@@ -323,4 +328,6 @@ let suite =
     Alcotest.test_case "8 KiB WRITE encodes with two payload copies" `Quick
       test_write_encoding_allocates_two_copies;
     Alcotest.test_case "to_bytes survives later appends" `Quick test_to_bytes_survives_appends;
+    Alcotest.test_case "8 KiB WRITE frame is the only payload copy" `Quick
+      test_write_frame_is_the_only_copy;
   ]

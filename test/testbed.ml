@@ -13,6 +13,8 @@ module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
 module Proto = Nfsg_nfs.Proto
 module Rpc_client = Nfsg_rpc.Rpc_client
+module Rpc = Nfsg_rpc.Rpc
+module Xdr = Nfsg_rpc.Xdr
 
 type rig = {
   eng : Engine.t;
@@ -86,3 +88,25 @@ let allocated_bytes f =
   let r = f () in
   let w1 = words () in
   (r, (w1 -. w0) *. float_of_int (Sys.word_size / 8))
+
+(* {1 Frames through the one encode path} *)
+
+let call_frame ?(xid = 1) args =
+  Rpc.frame_call (Proto.args_body args) ~xid ~prog:Rpc.nfs_program ~vers:Rpc.nfs_version
+    ~proc:(Proto.proc_of_args args)
+
+let reply_frame ?(xid = 1) res = Rpc.frame_reply (Proto.res_body res) ~xid Rpc.Success
+
+(* The argument and result bodies as the decoders see them: framed,
+   then unwrapped by the RPC decoder. *)
+let args_view args = (Rpc.decode_call (call_frame args)).Rpc.body
+let res_view res = (Rpc.decode_reply (reply_frame res)).Rpc.rbody
+
+(* Bodies of arbitrary bytes, for RPC tests below NFS. *)
+let raw_body mk b =
+  let body = mk (Bytes.length b) in
+  Xdr.Enc.raw (Rpc.body_enc body) b;
+  body
+
+let raw_call s = raw_body (fun size_hint -> Rpc.call_body ~size_hint ()) (Bytes.of_string s)
+let raw_reply b = raw_body (fun size_hint -> Rpc.reply_body ~size_hint ()) b
