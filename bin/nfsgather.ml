@@ -159,12 +159,12 @@ let run_experiment ?metrics ~quick ~adjust ~curve ~storm ~chaos = function
       print_string (Nfsg_experiments.Iosched.investigate "deadline+merge");
       print_newline ();
       print_string (Nfsg_experiments.Iosched.investigate "fifo")
-  | "raid" -> print_report (Nfsg_experiments.Raid.report ~quick ())
+  | "raid" -> print_report (Nfsg_experiments.Raid.report ())
   | "chaos" ->
       let r = Chaos.run ?metrics chaos in
       Fmt.pr "%a@." Chaos.pp_result r;
       List.iter print_endline r.Chaos.timeline
-  | other -> Printf.eprintf "unknown experiment %S\n" other
+  | other -> invalid_arg ("nfsgather: no experiment " ^ other)
 
 let names =
   [
@@ -247,13 +247,16 @@ let run quick scheduler raid_level sweep_points procs_max curve_configs clients_
       Printf.eprintf "metrics written to %s\n%!" file
   | _ -> ()
 
+(* Every target is checked before any runs: an unknown name is a
+   usage error, and nothing runs. *)
 let targets_arg =
+  let target = Arg.enum (List.map (fun n -> (n, n)) ("all" :: "iosched-probe" :: names)) in
   let doc =
     "Experiments to run: table1..table6, figure1..figure3, ablations, extensions, writegather, \
      multivolume, laddis-curve, bootstorm, raid, chaos, iosched-probe, or all (default; \
      excludes iosched-probe)."
   in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(value & pos_all target [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
   let doc = "reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994)" in

@@ -252,25 +252,19 @@ let json_of_curves sweep curves =
         ("capacity_clients", Json.Int c.capacity_clients);
       ]
   in
-  Json.Obj
-    [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "bootstorm");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("boot_files", Json.Int (List.length Boot.boot_set));
-            ("boot_bytes", Json.Int Boot.total_bytes);
-            ("nfsds", Json.Int sweep.nfsds);
-            ("cache_blocks", Json.Int sweep.cache_blocks);
-            ("clients_max", Json.Int sweep.clients_max);
-            ("stagger_ms", Json.Float (Time.to_ms_f sweep.stagger));
-            ("knee_frac", Json.Float sweep.knee_frac);
-            ("seed", Json.Int sweep.seed);
-          ] );
-      ("configs", Json.List (List.map json_curve curves));
-    ]
+  Rig.artifact ~bench:"bootstorm"
+    ~workload:
+      [
+        ("boot_files", Json.Int (List.length Boot.boot_set));
+        ("boot_bytes", Json.Int Boot.total_bytes);
+        ("nfsds", Json.Int sweep.nfsds);
+        ("cache_blocks", Json.Int sweep.cache_blocks);
+        ("clients_max", Json.Int sweep.clients_max);
+        ("stagger_ms", Json.Float (Time.to_ms_f sweep.stagger));
+        ("knee_frac", Json.Float sweep.knee_frac);
+        ("seed", Json.Int sweep.seed);
+      ]
+    [ ("configs", Json.List (List.map json_curve curves)) ]
 
 let bench_bootstorm ?(sweep = default_sweep) ?variants ?adjust () =
   json_of_curves sweep (run ~sweep ?variants ?adjust ())

@@ -26,36 +26,15 @@ type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead opt
 val variants : variant list
 (** The configuration pair: ["no-readahead"] and ["readahead"]. *)
 
-(** {1 Running} *)
+(** {1 Running}
 
-type point = {
-  clients : int;
-  offered : float;  (** clients x the one-client rate, ops/s *)
-  achieved : float;  (** ops/s over the storm window *)
-  avg_latency_ms : float;  (** per-RPC *)
-  ops_completed : int;
-  mean_boot_ms : float;  (** per-client MOUNT-to-prompt time *)
-  cache_hit_rate : float;  (** server cache, storm window only *)
-  readahead_blocks : int;
-  readahead_hits : int;
-  readahead_wasted : int;
-}
-
-type curve = {
-  label : string;
-  readahead_on : bool;
-  points : point list;  (** ladder order *)
-  knee : int option;  (** index of the first sagging rung *)
-  capacity_ops : float;  (** ops/s, per {!Laddis_curve.capacity_rating} *)
-  capacity_clients : int;  (** biggest fleet the export kept up with *)
-}
-
-val run :
-  ?sweep:sweep -> ?variants:variant list -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> curve list
-(** Walk the fleet ladder of every configuration in [variants]
-    (default {!variants}). [adjust] (default identity) is applied to
-    each rung's spec just before its world is built, as in
-    {!Laddis_curve.run}. *)
+    Each configuration walks the whole fleet ladder, one fresh world
+    per rung; the one-client rung sets the offered scale, and knee and
+    capacity come from {!Laddis_curve.detect_knee} and
+    {!Laddis_curve.capacity_rating} at [knee_frac]. [variants] defaults
+    to {!variants}; [adjust] (default identity) is applied to each
+    rung's spec just before its world is built, so it wins over the
+    configuration's own choices. *)
 
 val report :
   ?sweep:sweep ->
@@ -71,4 +50,4 @@ val bench_bootstorm :
   unit ->
   Nfsg_stats.Json.t
 (** The committed BENCH_bootstorm.json artifact: one fixed modest
-    ladder (same bytes regardless of quick/full); arguments as {!run}. *)
+    ladder (same bytes regardless of quick/full). *)

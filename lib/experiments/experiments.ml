@@ -7,33 +7,39 @@ module File_writer = Nfsg_workload.File_writer
 module Laddis = Nfsg_workload.Laddis
 module Client = Nfsg_nfs.Client
 
+type experiment = ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Report.t
+
 let size quick = if quick then 2 * 1024 * 1024 + 512 * 1024 else Calib.file_size
 let paper_biods = [ 0; 3; 7; 11; 15 ]
 let stripe_biods = [ 0; 3; 7; 11; 15; 19; 23 ]
 
-let table1 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 1. NFS 10MB file copy: Ethernet" ~net:Calib.Ethernet ~accel:false
-    ~spindles:1 ~biods:paper_biods ~total:(size quick) ?adjust ()
+let paper_table ~title ~net ~accel ~spindles ~biods : experiment =
+ fun ?(quick = false) ?adjust () ->
+  Filecopy.table ~title ~net ~accel ~spindles ~biods ~total:(size quick) ?adjust ()
 
-let table2 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 2. NFS 10MB file copy: Ethernet, Presto" ~net:Calib.Ethernet
-    ~accel:true ~spindles:1 ~biods:paper_biods ~total:(size quick) ?adjust ()
+let table1 =
+  paper_table ~title:"Table 1. NFS 10MB file copy: Ethernet" ~net:Calib.Ethernet ~accel:false
+    ~spindles:1 ~biods:paper_biods
 
-let table3 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 3. NFS 10MB file copy: FDDI" ~net:Calib.Fddi ~accel:false
-    ~spindles:1 ~biods:paper_biods ~total:(size quick) ?adjust ()
+let table2 =
+  paper_table ~title:"Table 2. NFS 10MB file copy: Ethernet, Presto" ~net:Calib.Ethernet
+    ~accel:true ~spindles:1 ~biods:paper_biods
 
-let table4 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 4. NFS 10MB file copy: FDDI, Presto" ~net:Calib.Fddi ~accel:true
-    ~spindles:1 ~biods:paper_biods ~total:(size quick) ?adjust ()
+let table3 =
+  paper_table ~title:"Table 3. NFS 10MB file copy: FDDI" ~net:Calib.Fddi ~accel:false ~spindles:1
+    ~biods:paper_biods
 
-let table5 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 5. NFS 10MB file copy: FDDI, 3 striped drives" ~net:Calib.Fddi
-    ~accel:false ~spindles:3 ~biods:stripe_biods ~total:(size quick) ?adjust ()
+let table4 =
+  paper_table ~title:"Table 4. NFS 10MB file copy: FDDI, Presto" ~net:Calib.Fddi ~accel:true
+    ~spindles:1 ~biods:paper_biods
 
-let table6 ?(quick = false) ?adjust () =
-  Filecopy.table ~title:"Table 6. NFS 10MB file copy: FDDI, Presto, 3 striped drives"
-    ~net:Calib.Fddi ~accel:true ~spindles:3 ~biods:stripe_biods ~total:(size quick) ?adjust ()
+let table5 =
+  paper_table ~title:"Table 5. NFS 10MB file copy: FDDI, 3 striped drives" ~net:Calib.Fddi
+    ~accel:false ~spindles:3 ~biods:stripe_biods
+
+let table6 =
+  paper_table ~title:"Table 6. NFS 10MB file copy: FDDI, Presto, 3 striped drives"
+    ~net:Calib.Fddi ~accel:true ~spindles:3 ~biods:stripe_biods
 
 (* {1 Figure 1: event timelines} *)
 
@@ -67,20 +73,14 @@ let figure1 ?(adjust = Fun.id) () =
   ^ "(sequential file writer, 4 biods, FDDI, rz26 disk; window >100K into the file)\n\n"
   ^ "--- Standard server ---\n" ^ std ^ "\n--- Gathering server ---\n" ^ gat
 
-(* {1 Figures 2 and 3: LADDIS curves} *)
+(* {1 Figures 2 and 3: LADDIS curves}
 
-type laddis_point = { offered : float; achieved : float; avg_latency_ms : float }
-
-type laddis_curve = {
-  label : string;
-  points : laddis_point list;
-  peak_ops : float;
-  latency_at_peak : float;
-}
+   Without and with gathering, each walked over the same offered loads
+   with no knee cut: the whole curve is the figure. *)
 
 (* The paper's Figure 2/3 server: DEC 3800, FDDI, 20 disks on 5 SCSI
    buses, 32 nfsds. *)
-let laddis_point ~adjust ~accel ~gathering ~offered ~cfg =
+let laddis_variant ~accel ~gathering label =
   let spec =
     {
       Rig.default_spec with
@@ -99,73 +99,52 @@ let laddis_point ~adjust ~accel ~gathering ~offered ~cfg =
       cache_blocks = Some 1024;
     }
   in
-  let rig = Rig.make (adjust spec) in
-  Rig.run rig (fun () ->
-      let make_client i = Rig.new_client rig ~biods:cfg.Laddis.biods_per_proc (Printf.sprintf "lc%d" i) in
-      let p = Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered cfg in
-      { offered = p.Laddis.offered; achieved = p.Laddis.achieved; avg_latency_ms = p.Laddis.avg_latency_ms })
+  { Laddis_curve.label; spec }
 
-let laddis_curve ~adjust ~accel ~gathering ~label ~loads ~cfg =
-  let points =
-    List.map (fun offered -> laddis_point ~adjust ~accel ~gathering ~offered ~cfg) loads
+let laddis_curves ~quick ~adjust ~accel =
+  let loads =
+    if quick then [ 100.0; 250.0; 400.0 ]
+    else [ 50.0; 100.0; 150.0; 200.0; 250.0; 300.0; 350.0; 400.0; 500.0 ]
   in
-  let peak = List.fold_left (fun acc p -> if p.achieved > acc.achieved then p else acc)
-      { offered = 0.; achieved = 0.; avg_latency_ms = 0. } points
+  let load =
+    { Laddis.default_config with Laddis.files_per_proc = 16; file_size = 256 * 1024; biods_per_proc = 16 }
   in
-  { label; points; peak_ops = peak.achieved; latency_at_peak = peak.avg_latency_ms }
-
-let laddis_loads quick =
-  if quick then [ 100.0; 250.0; 400.0 ]
-  else [ 50.0; 100.0; 150.0; 200.0; 250.0; 300.0; 350.0; 400.0; 500.0 ]
-
-let laddis_cfg quick =
-  let base =
-    {
-      Laddis.default_config with
-      Laddis.procs = 20;
-      files_per_proc = 16;
-      file_size = 256 * 1024;
-      biods_per_proc = 16;
-    }
+  let load = if quick then { load with Laddis.warmup = Time.sec 1; measure = Time.sec 4 } else load in
+  let rungs = List.map (fun offered -> (offered, 20)) loads in
+  let walk gathering label =
+    Laddis_curve.walk ~adjust ~frac:0.0 ~load ~rungs (laddis_variant ~accel ~gathering label)
   in
-  if quick then { base with Laddis.warmup = Time.sec 1; measure = Time.sec 4 } else base
+  (walk false "WITHOUT WRITE GATHERING", walk true "WITH WRITE GATHERING")
 
-let figure2 ?(quick = false) ?(adjust = Fun.id) () =
-  let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ~adjust ~accel:false ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg,
-    laddis_curve ~adjust ~accel:false ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg )
+let figure2 ?(quick = false) ?(adjust = Fun.id) () = laddis_curves ~quick ~adjust ~accel:false
+let figure3 ?(quick = false) ?(adjust = Fun.id) () = laddis_curves ~quick ~adjust ~accel:true
 
-let figure3 ?(quick = false) ?(adjust = Fun.id) () =
-  let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ~adjust ~accel:true ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg,
-    laddis_curve ~adjust ~accel:true ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg )
-
-let render_laddis ~title (without, with_) =
+let render_laddis ~title ((without : Laddis_curve.curve), (with_ : Laddis_curve.curve)) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (title ^ "\n");
-  let render c =
-    Buffer.add_string buf (Printf.sprintf "  %s\n" c.label);
-    Buffer.add_string buf "    offered(ops/s)  achieved(ops/s)  avg latency(ms)\n";
+  let add fmt = Printf.bprintf buf fmt in
+  add "%s\n" title;
+  let render (c : Laddis_curve.curve) =
+    add "  %s\n    offered(ops/s)  achieved(ops/s)  avg latency(ms)\n" c.label;
     List.iter
-      (fun p ->
-        Buffer.add_string buf
-          (Printf.sprintf "    %14.0f  %15.1f  %15.2f\n" p.offered p.achieved p.avg_latency_ms))
+      (fun (p : Laddis.point) -> add "    %14.0f  %15.1f  %15.2f\n" p.offered p.achieved p.avg_latency_ms)
       c.points;
-    Buffer.add_string buf
-      (Printf.sprintf "    peak throughput: %.1f ops/s at %.2f ms avg latency\n" c.peak_ops
-         c.latency_at_peak)
+    (* The peak is the curve's capacity, at the first rung that reached it. *)
+    let peak = List.find_opt (fun (p : Laddis.point) -> p.achieved = c.capacity) c.points in
+    add "    peak throughput: %.1f ops/s at %.2f ms avg latency\n" c.capacity
+      (match peak with Some p -> p.avg_latency_ms | None -> 0.0)
   in
   render without;
   render with_;
-  let gain = 100.0 *. (with_.peak_ops -. without.peak_ops) /. without.peak_ops in
-  Buffer.add_string buf (Printf.sprintf "  capacity change with gathering: %+.1f%%\n" gain);
+  add "  capacity change with gathering: %+.1f%%\n"
+    (100.0 *. (with_.capacity -. without.capacity) /. without.capacity);
   Buffer.contents buf
 
 (* {1 Ablations} *)
 
-let copy_with_config ~adjust ?(net = Calib.Fddi) ?(accel = false) ~biods ~total overrides =
+let copy_with_config ~adjust ?(net = Calib.Fddi) ?(accel = false) ?(nfsds = Rig.default_spec.nfsds)
+    ~biods ~total overrides =
   let spec =
-    { Rig.default_spec with Rig.net; accel; gathering = true; write_layer_overrides = overrides }
+    { Rig.default_spec with Rig.net; accel; nfsds; gathering = true; write_layer_overrides = overrides }
   in
   Filecopy.run_cell ~spec:(adjust spec) ~biods ~total ()
 
@@ -240,15 +219,8 @@ let ablation_mbuf_hunter ?(quick = false) ?(adjust = Fun.id) () =
     let cells =
       List.map
         (fun nfsds ->
-          let spec =
-            {
-              Rig.default_spec with
-              Rig.accel = true;
-              nfsds;
-              write_layer_overrides = (fun c -> { c with Write_layer.use_mbuf_hunter = hunter });
-            }
-          in
-          Filecopy.run_cell ~spec:(adjust spec) ~biods:8 ~total ())
+          copy_with_config ~adjust ~accel:true ~nfsds ~biods:8 ~total (fun c ->
+              { c with Write_layer.use_mbuf_hunter = hunter }))
         [ 1; 8 ]
     in
     Report.add_row report (label ^ " writes/metadata update")
@@ -315,9 +287,8 @@ let ablation_disk_scheduler ?(quick = false) ?(adjust = Fun.id) () =
 
 (* {1 Extensions: the paper's Future Work, built out} *)
 
-let copy_elapsed rig ~client ~total =
-  Rig.run rig (fun () ->
-      File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name:"x.dat" ~total ())
+let copy_elapsed ?(name = "x.dat") rig ~client ~total =
+  Rig.run rig (fun () -> File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name ~total ())
 
 let extension_learned_clients ?(quick = false) ?(adjust = Fun.id) () =
   let total = size quick in
@@ -337,11 +308,7 @@ let extension_learned_clients ?(quick = false) ?(adjust = Fun.id) () =
           (* Warm the learned database with a first copy, then measure
              a second one: the dumb PC's writes stop procrastinating. *)
           let _ = copy_elapsed rig ~client ~total:(total / 4) in
-          let r =
-            Rig.run rig (fun () ->
-                File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name:"warm.dat" ~total ())
-          in
-          r.File_writer.kb_per_sec)
+          (copy_elapsed ~name:"warm.dat" rig ~client ~total).File_writer.kb_per_sec)
         [ 0; 7 ]
     in
     Report.add_row report label cells
@@ -465,17 +432,6 @@ let bench_writegather ?(quick = false) ?(adjust = Fun.id) ?total () =
         if not (File_writer.verify client ~fh ~total ~seed:7) then
           failwith "bench_writegather: read-back mismatch";
         let trans = d1.Nfsg_disk.Device.transactions - d0.Nfsg_disk.Device.transactions in
-        let lat =
-          match Metrics.find_histogram m ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-          | Some h ->
-              Json.Obj
-                [
-                  ("mean_us", Json.Float (Histogram.mean h));
-                  ("p50_us", Json.Float (Histogram.median h));
-                  ("p99_us", Json.Float (Histogram.p99 h));
-                ]
-          | None -> Json.Null
-        in
         let batch =
           match Metrics.find_histogram m ~ns:Names.Ns.write_layer Names.batch_size with
           | Some h ->
@@ -502,7 +458,7 @@ let bench_writegather ?(quick = false) ?(adjust = Fun.id) ?total () =
             ("mode", Json.String mode);
             ("throughput_kb_s", Json.Float result.File_writer.kb_per_sec);
             ("cpu_pct", Json.Float window.Rig.cpu_pct);
-            ("latency", lat);
+            ("latency", Rig.latency_json (Rig.write_latency m));
             ( "disk",
               Json.Obj
                 [
@@ -515,19 +471,15 @@ let bench_writegather ?(quick = false) ?(adjust = Fun.id) ?total () =
             ("batch_size", batch);
           ])
   in
-  Json.Obj
+  Rig.artifact ~bench:"writegather"
+    ~workload:
+      [
+        ("biods", Json.Int bench_biods);
+        ("total_bytes", Json.Int total);
+        ("block_bytes", Json.Int 8192);
+        ("writes", Json.Int writes);
+      ]
     [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "writegather");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("biods", Json.Int bench_biods);
-            ("total_bytes", Json.Int total);
-            ("block_bytes", Json.Int 8192);
-            ("writes", Json.Int writes);
-          ] );
       ( "rows",
         Json.List
           [

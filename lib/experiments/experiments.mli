@@ -9,94 +9,84 @@
     The experiment index lives in DESIGN.md; paper-vs-measured
     comparisons live in EXPERIMENTS.md. *)
 
-val table1 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+type experiment = ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+(** Every table, ablation and extension. [quick] shrinks the workload
+    for smoke runs. *)
+
+val table1 : experiment
 (** NFS 10MB file copy: Ethernet (biods 0/3/7/11/15). [quick] uses a
     2.5 MB file for fast smoke runs; shapes, not absolutes, change. *)
 
-val table2 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val table2 : experiment
 (** Ethernet + Prestoserve. *)
 
-val table3 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val table3 : experiment
 (** FDDI. *)
 
-val table4 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val table4 : experiment
 (** FDDI + Prestoserve. *)
 
-val table5 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val table5 : experiment
 (** FDDI, 3 striped drives (biods up to 23). *)
 
-val table6 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val table6 : experiment
 (** FDDI + Prestoserve, 3 striped drives. *)
 
 val figure1 : ?adjust:(Rig.spec -> Rig.spec) -> unit -> string
 (** Packet/disk timelines of a standard vs a gathering server for the
     4-biod sequential writer, >100K into the file. *)
 
-type laddis_point = {
-  offered : float;
-  achieved : float;
-  avg_latency_ms : float;
-}
-
-type laddis_curve = {
-  label : string;
-  points : laddis_point list;
-  peak_ops : float;  (** highest achieved throughput on the curve *)
-  latency_at_peak : float;
-}
-
-val figure2 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> laddis_curve * laddis_curve
+val figure2 :
+  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Laddis_curve.curve * Laddis_curve.curve
 (** LADDIS-style throughput/latency curves (without, with gathering),
-    FDDI, no NVRAM. *)
+    FDDI, no NVRAM: two {!Laddis_curve.walk}s at [frac = 0] over the
+    same offered loads, 20 stations each. *)
 
-val figure3 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> laddis_curve * laddis_curve
+val figure3 :
+  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Laddis_curve.curve * Laddis_curve.curve
 (** Same with Prestoserve. *)
 
-val render_laddis : title:string -> laddis_curve * laddis_curve -> string
+val render_laddis : title:string -> Laddis_curve.curve * Laddis_curve.curve -> string
+(** Both curves rung by rung. A curve's peak throughput is its
+    [capacity], printed with the latency of the first rung that reached
+    it; the closing line is the capacity change with gathering. *)
 
 (** {1 Ablations} (design choices the paper discusses) *)
 
-val ablation_procrastination :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_procrastination : experiment
 (** Sweep the procrastination interval (section 6.6: "I wish I could
     say I know how to calculate the right number"). *)
 
-val ablation_reply_order :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_reply_order : experiment
 (** FIFO vs the abandoned LIFO (section 6.7). *)
 
-val ablation_latency_device :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_latency_device : experiment
 (** Procrastination vs the [SIVA93] first-write-as-latency-device
     variant (section 6.6), with and without NVRAM. *)
 
-val ablation_mbuf_hunter :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_mbuf_hunter : experiment
 (** Socket-buffer scanning on/off under Prestoserve (section 6.5). *)
 
-val ablation_dumb_pc : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_dumb_pc : experiment
 (** The 0-biod worst case across networks (section 6.10). *)
 
-val ablation_disk_scheduler :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val ablation_disk_scheduler : experiment
 (** FIFO vs C-LOOK elevator in the driver, under a random-access write
     load on the standard server — the per-spindle request-pattern point
     the paper makes against [SIVA93] (section 6.6). *)
 
 (** {1 Extensions} (the paper's Future Work, built out) *)
 
-val extension_learned_clients :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val extension_learned_clients : experiment
 (** Mogul's learned-client database (section 8): the dumb-PC penalty
     disappears while multi-biod clients keep the full gathering win. *)
 
-val extension_v3 : ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val extension_v3 : experiment
 (** NFS version 3 asynchronous writes + COMMIT vs version 2, against
     standard and gathering servers — the mixed environment the paper
     wonders about in section 8. *)
 
-val extension_write_modes :
-  ?quick:bool -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> Nfsg_stats.Report.t
+val extension_write_modes : experiment
 (** Standard vs gathering vs "dangerous mode" (async volatile acks,
     section 4.3): what the shortcut buys, next to what the crash tests
     show it costs. *)

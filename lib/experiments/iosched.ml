@@ -14,52 +14,43 @@ module Report = Nfsg_stats.Report
    C-LOOK sweep plus adjacent-request coalescing; [`Deadline] keeps
    both and bounds queue wait by promoting starved requests. *)
 
-type config = {
-  seed : int;
-  procs : int;
-  files_per_proc : int;
-  file_size : int;
-  offered : float;
-  warmup : Time.t;
-  measure : Time.t;
-  nfsds : int;
-}
+type config = { load : Laddis.config; offered : float (* aggregate ops/s *) }
+
+let nfsds = 12
 
 let default =
   {
-    seed = 1994;
-    procs = 6;
-    files_per_proc = 4;
-    file_size = 64 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.procs = 6;
+        files_per_proc = 4;
+        file_size = 64 * 1024;
+        warmup = Time.sec 1;
+        measure = Time.sec 5;
+        seed = 1994;
+      };
     offered = 160.0;
-    warmup = Time.sec 1;
-    measure = Time.sec 5;
-    nfsds = 12;
   }
 
-type variant = {
-  label : string;
-  scheduler : Disk.scheduler;
-  merge : bool;
-  deadline : Time.t;  (* promotion threshold; only [`Deadline] reads it *)
-}
+type variant = { label : string; scheduler : Disk.scheduler; merge : bool }
 
-(* The promotion threshold sits above the typical queue wait of the
-   saturating bench load: the point of Deadline is to promote only the
-   starved tail, not to degrade the sweep into arrival order. *)
 let variants =
   [
-    { label = "fifo"; scheduler = Disk.Fifo; merge = false; deadline = Time.ms 300 };
-    { label = "elevator"; scheduler = Disk.Elevator; merge = true; deadline = Time.ms 300 };
-    { label = "deadline+merge"; scheduler = Disk.Deadline; merge = true; deadline = Time.ms 300 };
+    { label = "fifo"; scheduler = Disk.Fifo; merge = false };
+    { label = "elevator"; scheduler = Disk.Elevator; merge = true };
+    { label = "deadline+merge"; scheduler = Disk.Deadline; merge = true };
   ]
+
+(* Deadline's promotion threshold sits above the typical queue wait of
+   the saturating bench load: the point is to promote only the starved
+   tail, not to degrade the sweep into arrival order. *)
+let promote_after = Time.ms 300
 
 type row = {
   variant : variant;
   point : Laddis.point;
-  write_mean_us : float;
-  write_p50_us : float;
-  write_p99_us : float;
+  write : Rig.latency;  (** client-side *)
   transactions : int;
   merged : int;
   promotions : int;
@@ -78,31 +69,23 @@ let drive ?long_op_threshold cfg v =
   let storage (env : Rig.env) =
     let disk =
       Disk.create env.eng ~name:disk_name ~metrics:env.metrics ~scheduler:v.scheduler
-        ~merge:v.merge ~deadline:v.deadline ~on_transaction:env.on_transaction
+        ~merge:v.merge ~deadline:promote_after ~on_transaction:env.on_transaction
         Calib.disk_geometry
     in
     { Rig.raw = [| disk |]; exports = [ disk ] }
   in
   let rig =
-    Rig.make ~seed:(cfg.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
-      { Rig.default_spec with Rig.nfsds = cfg.nfsds; long_op_threshold }
+    Rig.make ~seed:(cfg.load.Laddis.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
+      { Rig.default_spec with Rig.nfsds; long_op_threshold }
   in
   let cm = Metrics.create () in
-  let make_client i = Rig.new_client rig ~metrics:cm (Printf.sprintf "client%d" i) in
-  let lcfg =
-    {
-      Laddis.default_config with
-      Laddis.procs = cfg.procs;
-      files_per_proc = cfg.files_per_proc;
-      file_size = cfg.file_size;
-      warmup = cfg.warmup;
-      measure = cfg.measure;
-      seed = cfg.seed;
-    }
+  let make_client i =
+    Rig.new_client rig ~biods:cfg.load.Laddis.biods_per_proc ~metrics:cm
+      (Printf.sprintf "client%d" i)
   in
   let point =
     Rig.run rig (fun () ->
-        Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered:cfg.offered lcfg)
+        Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered:cfg.offered cfg.load)
   in
   (rig, cm, point)
 
@@ -111,18 +94,11 @@ let run_variant cfg v =
   let metrics = Rig.metrics rig in
   let ns = Names.Ns.disk disk_name in
   let counter name = Option.value ~default:0 (Metrics.find_counter metrics ~ns name) in
-  let lat f =
-    match Metrics.find_histogram cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-    | Some h -> f h
-    | None -> 0.0
-  in
   let stats = Rig.spindle_stats rig in
   {
     variant = v;
     point;
-    write_mean_us = lat Histogram.mean;
-    write_p50_us = lat Histogram.median;
-    write_p99_us = lat Histogram.p99;
+    write = Rig.write_latency cm;
     transactions = stats.Nfsg_disk.Device.transactions;
     merged = counter Names.merged_requests;
     promotions = counter Names.deadline_promotions;
@@ -133,18 +109,16 @@ let run_variant cfg v =
       | None -> 0.0);
   }
 
-let run ?(cfg = default) () = List.map (run_variant cfg) variants
-
-let report ?quick:_ () =
-  let rows = run () in
+let report () =
+  let rows = List.map (run_variant default) variants in
   let report =
     Report.create ~title:"I/O scheduling: one spindle under mixed LADDIS-style load"
       ~columns:(List.map (fun r -> r.variant.label) rows)
   in
   let row name f = Report.add_row report name (List.map f rows) in
   row "achieved ops/sec" (fun r -> r.point.Laddis.achieved);
-  row "WRITE latency mean (us)" (fun r -> r.write_mean_us);
-  row "WRITE latency p99 (us)" (fun r -> r.write_p99_us);
+  row "WRITE latency mean (us)" (fun r -> r.write.Rig.mean_us);
+  row "WRITE latency p99 (us)" (fun r -> r.write.Rig.p99_us);
   row "disk transactions" (fun r -> float_of_int r.transactions);
   row "merged requests" (fun r -> float_of_int r.merged);
   row "deadline promotions" (fun r -> float_of_int r.promotions);
@@ -162,18 +136,21 @@ let report ?quick:_ () =
    depth ~1 every scheduler is FIFO. *)
 let bench_cfg =
   {
-    seed = 7;
-    procs = 12;
-    files_per_proc = 2;
-    file_size = 1024 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.procs = 12;
+        files_per_proc = 2;
+        file_size = 1024 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
+        seed = 7;
+      };
     offered = 170.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 3;
-    nfsds = 12;
   }
 
 let bench_iosched () =
-  let rows = run ~cfg:bench_cfg () in
+  let rows = List.map (run_variant bench_cfg) variants in
   let json_row r =
     Json.Obj
       [
@@ -181,13 +158,7 @@ let bench_iosched () =
         ("merge", Json.Bool r.variant.merge);
         ("achieved_ops_s", Json.Float r.point.Laddis.achieved);
         ("ops_completed", Json.Int r.point.Laddis.ops_completed);
-        ( "write_latency",
-          Json.Obj
-            [
-              ("mean_us", Json.Float r.write_mean_us);
-              ("p50_us", Json.Float r.write_p50_us);
-              ("p99_us", Json.Float r.write_p99_us);
-            ] );
+        ("write_latency", Rig.latency_json r.write);
         ( "disk",
           Json.Obj
             [
@@ -199,24 +170,19 @@ let bench_iosched () =
             ] );
       ]
   in
-  Json.Obj
-    [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "iosched");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("procs", Json.Int bench_cfg.procs);
-            ("files_per_proc", Json.Int bench_cfg.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.file_size);
-            ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.measure));
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
-          ] );
-      ("rows", Json.List (List.map json_row rows));
-    ]
+  let load = bench_cfg.load in
+  Rig.artifact ~bench:"iosched"
+    ~workload:
+      [
+        ("procs", Json.Int load.Laddis.procs);
+        ("files_per_proc", Json.Int load.Laddis.files_per_proc);
+        ("file_bytes", Json.Int load.Laddis.file_size);
+        ("offered_ops_s", Json.Float bench_cfg.offered);
+        ("measure_ms", Json.Float (Time.to_ms_f load.Laddis.measure));
+        ("nfsds", Json.Int nfsds);
+        ("seed", Json.Int load.Laddis.seed);
+      ]
+    [ ("rows", Json.List (List.map json_row rows)) ]
 
 (* {1 The long-op probe}
 
@@ -227,25 +193,21 @@ let bench_iosched () =
    walkthrough of EXPERIMENTS.md, as a reproducible command
    (nfsgather iosched-probe). *)
 
-let investigate ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
+let investigate ?(threshold = Time.ms 300) label =
   let v =
     match List.find_opt (fun v -> v.label = label) variants with
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Iosched.investigate: unknown variant %S" label)
   in
-  let rig, cm, point = drive ~long_op_threshold:threshold cfg v in
+  let rig, cm, point = drive ~long_op_threshold:threshold bench_cfg v in
   let metrics = Rig.metrics rig in
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "iosched probe: variant=%s threshold=%.0fms achieved=%.1f ops/s" v.label
     (Time.to_ms_f threshold) point.Laddis.achieved;
-  let client_h f =
-    match Metrics.find_histogram cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-    | Some h -> f h
-    | None -> 0.0
-  in
-  line "client WRITE latency (us): mean=%.0f p50=%.0f p99=%.0f" (client_h Histogram.mean)
-    (client_h Histogram.median) (client_h Histogram.p99);
+  let w = Rig.write_latency cm in
+  line "client WRITE latency (us): mean=%.0f p50=%.0f p99=%.0f" w.Rig.mean_us w.Rig.p50_us
+    w.Rig.p99_us;
   let jh name f =
     match Metrics.find_histogram metrics ~ns:Names.Ns.journey name with
     | Some h -> f h

@@ -2,64 +2,19 @@
     LADDIS-style load over one spindle, once per scheduling policy —
     [`Fifo] with merging off (the reference port's driver), [`Elevator]
     with coalescing, and [`Deadline] with coalescing and starvation
-    control. Everything derives from the config seed, so equal configs
-    give equal bytes. *)
+    control. Everything derives from one seed, so every run gives the
+    same bytes. *)
 
-type config = {
-  seed : int;
-  procs : int;  (** load-generating client processes *)
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
-  offered : float;  (** aggregate offered ops/sec *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
-  nfsds : int;
-}
-
-val default : config
-
-type variant = {
-  label : string;
-  scheduler : Nfsg_disk.Disk.scheduler;
-  merge : bool;
-  deadline : Nfsg_sim.Time.t;
-      (** promotion threshold; only the [`Deadline] row reads it *)
-}
-
-val variants : variant list
-(** The three compared policies, bench-row order: fifo (merge off),
-    elevator, deadline+merge. *)
-
-type row = {
-  variant : variant;
-  point : Nfsg_workload.Laddis.point;
-  write_mean_us : float;
-  write_p50_us : float;
-  write_p99_us : float;
-  transactions : int;  (** physical disk transactions (post-merge) *)
-  merged : int;  (** requests coalesced away *)
-  promotions : int;  (** deadline promotions of starved requests *)
-  barriers : int;
-  queue_wait_p99_us : float;
-}
-
-val run : ?cfg:config -> unit -> row list
-(** One world per variant, same seed: only the spindle's service order
-    differs between rows. *)
-
-val report : ?quick:bool -> unit -> Nfsg_stats.Report.t
-(** Text table over {!run} with the default config ([quick] accepted
-    for harness uniformity; the workload is fixed either way). *)
+val report : unit -> Nfsg_stats.Report.t
+(** Text table of the three policies under a fixed modest load, one
+    world per policy, same seed: only the spindle's service order
+    differs between columns. *)
 
 val bench_iosched : unit -> Nfsg_stats.Json.t
-(** The committed BENCH_iosched.json artifact: fixed modest workload,
-    byte-deterministic. CI regenerates it and byte-diffs. *)
+(** The committed BENCH_iosched.json artifact: a fixed saturating
+    workload, byte-deterministic. CI regenerates it and byte-diffs. *)
 
-val bench_cfg : config
-(** The saturating workload behind {!bench_iosched} (and the default
-    for {!investigate}). *)
-
-val investigate : ?cfg:config -> ?threshold:Nfsg_sim.Time.t -> string -> string
+val investigate : ?threshold:Nfsg_sim.Time.t -> string -> string
 (** [investigate label] reruns the bench world of the named variant
     with journey tracing armed at [threshold] (default 300 ms) and
     renders the evidence side by side: client-visible WRITE latency,

@@ -9,14 +9,11 @@ module Report = Nfsg_stats.Report
    Each rung is a fresh world (Rig.make) driven at one offered rate;
    the per-config curve of (offered, achieved, latency) points is the
    paper's Figure 2/3 shape, and the knee of each curve is that
-   configuration's capacity rating. *)
+   configuration's capacity rating. Figures 2 and 3 run on the same
+   {!walk}, over their own loads and with no knee cut. *)
 
 type sweep = {
-  seed : int;
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
-  warmup : Time.t;
-  measure : Time.t;
+  load : Laddis.config;  (** per-rung load; [procs] comes from {!procs_for} *)
   nfsds : int;
   offered_start : float;  (** first rung, ops/s *)
   offered_step : float;  (** rung spacing, ops/s *)
@@ -27,11 +24,15 @@ type sweep = {
 
 let default_sweep =
   {
-    seed = 1994;
-    files_per_proc = 2;
-    file_size = 128 * 1024;
-    warmup = Time.ms 300;
-    measure = Time.ms 1500;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.files_per_proc = 2;
+        file_size = 128 * 1024;
+        warmup = Time.ms 300;
+        measure = Time.ms 1500;
+        seed = 1994;
+      };
     nfsds = 16;
     offered_start = 60.0;
     offered_step = 60.0;
@@ -59,13 +60,7 @@ type variant = { label : string; spec : Rig.spec }
 
 let grid =
   let base =
-    {
-      Rig.default_spec with
-      Rig.gathering = false;
-      accel = false;
-      spindles = 1;
-      disk_scheduler = Disk.Fifo;
-    }
+    { Rig.default_spec with Rig.gathering = false; accel = false; spindles = 1; disk_scheduler = Disk.Fifo }
   in
   [
     { label = "baseline"; spec = base };
@@ -114,7 +109,7 @@ let grid_of_labels labels =
     labels;
   List.filter (fun v -> List.mem v.label labels) grid
 
-(* {1 The sweep} *)
+(* {1 The rung walker} *)
 
 type curve = {
   label : string;
@@ -124,56 +119,50 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-let run_point sweep ~adjust (v : variant) ~offered =
-  let rig = Rig.make (adjust { v.spec with Rig.nfsds = sweep.nfsds }) in
-  let lcfg =
-    {
-      Laddis.default_config with
-      Laddis.procs = procs_for ~procs_max:sweep.procs_max offered;
-      files_per_proc = sweep.files_per_proc;
-      file_size = sweep.file_size;
-      warmup = sweep.warmup;
-      measure = sweep.measure;
-      seed = sweep.seed;
-    }
+let run_rung ~adjust ~load (v : variant) (offered, procs) =
+  let rig = Rig.make (adjust v.spec) in
+  let make_client i =
+    Rig.new_client rig ~biods:load.Laddis.biods_per_proc (Printf.sprintf "client%d" i)
   in
   Rig.run rig (fun () ->
-      Laddis.run rig.Rig.eng
-        ~make_client:(fun i -> Rig.new_client rig (Printf.sprintf "client%d" i))
-        ~root:(Rig.root rig) ~offered lcfg)
+      Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered { load with Laddis.procs })
 
-(* Walk the ladder until the knee shows (keeping the sagging rung as
-   evidence) or the cap runs out. Every rung is a fresh world at a
-   higher offered rate — the same traffic-shape-per-seed as the other
-   rig experiments, just more stations. *)
-let run_variant sweep ~adjust (v : variant) =
-  let rec walk acc i =
-    if i >= sweep.max_points then List.rev acc
-    else begin
-      let offered = sweep.offered_start +. (sweep.offered_step *. float_of_int i) in
-      let p = run_point sweep ~adjust v ~offered in
-      let acc = p :: acc in
-      if p.Laddis.achieved < sweep.knee_frac *. offered then List.rev acc
-      else walk acc (i + 1)
-    end
+(* Every rung is a fresh world at its own offered rate and station
+   count — the same traffic-shape-per-seed as the other rig
+   experiments, just more stations. The sagging rung that ends the
+   walk is kept as evidence of the knee. *)
+let walk ?(adjust = Fun.id) ~frac ~load ~rungs (v : variant) =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | ((offered, _) as rung) :: rest ->
+        let p = run_rung ~adjust ~load v rung in
+        if p.Laddis.achieved < frac *. offered then List.rev (p :: acc) else go (p :: acc) rest
   in
-  let points = walk [] 0 in
+  let points = go [] rungs in
   let oa = List.map (fun p -> (p.Laddis.offered, p.Laddis.achieved)) points in
   {
     label = v.label;
     spec = v.spec;
     points;
-    knee = detect_knee ~frac:sweep.knee_frac oa;
-    capacity = capacity_rating ~frac:sweep.knee_frac oa;
+    knee = detect_knee ~frac oa;
+    capacity = capacity_rating ~frac oa;
   }
 
-let run ?(sweep = default_sweep) ?(grid = grid) ?(adjust = Fun.id) () =
-  List.map (run_variant sweep ~adjust) grid
+(* {1 The sweep} *)
+
+let curves ?(sweep = default_sweep) ?(grid = grid) ?(adjust = Fun.id) () =
+  let rungs =
+    List.init (max 0 sweep.max_points) (fun i ->
+        let offered = sweep.offered_start +. (sweep.offered_step *. float_of_int i) in
+        (offered, procs_for ~procs_max:sweep.procs_max offered))
+  in
+  let adjust spec = adjust { spec with Rig.nfsds = sweep.nfsds } in
+  List.map (walk ~adjust ~frac:sweep.knee_frac ~load:sweep.load ~rungs) grid
 
 (* {1 Rendering} *)
 
 let report ?sweep ?grid ?adjust () =
-  let curves = run ?sweep ?grid ?adjust () in
+  let curves = curves ?sweep ?grid ?adjust () in
   let report =
     Report.create ~title:"Capacity curves: offered-load sweep per configuration"
       ~columns:(List.map (fun c -> c.label) curves)
@@ -181,14 +170,11 @@ let report ?sweep ?grid ?adjust () =
   let row name f = Report.add_row report name (List.map f curves) in
   row "capacity (ops/s)" (fun c -> c.capacity);
   row "knee offered (ops/s)" (fun c ->
-      match c.knee with
-      | Some i -> (List.nth c.points i).Laddis.offered
-      | None -> nan);
+      Option.fold c.knee ~none:nan ~some:(fun i -> (List.nth c.points i).Laddis.offered));
   row "rungs measured" (fun c -> float_of_int (List.length c.points));
-  row "top-rung achieved (ops/s)" (fun c ->
-      match List.rev c.points with p :: _ -> p.Laddis.achieved | [] -> nan);
-  row "top-rung latency (ms)" (fun c ->
-      match List.rev c.points with p :: _ -> p.Laddis.avg_latency_ms | [] -> nan);
+  let top f c = match List.rev c.points with p :: _ -> f p | [] -> nan in
+  row "top-rung achieved (ops/s)" (top (fun p -> p.Laddis.achieved));
+  row "top-rung latency (ms)" (top (fun p -> p.Laddis.avg_latency_ms));
   report
 
 (* {1 BENCH_laddis_curve.json}
@@ -236,27 +222,21 @@ let json_of_curves sweep curves =
         ("capacity_ops_s", Json.Float c.capacity);
       ]
   in
-  Json.Obj
-    [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "laddis_curve");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("files_per_proc", Json.Int sweep.files_per_proc);
-            ("file_bytes", Json.Int sweep.file_size);
-            ("measure_ms", Json.Float (Time.to_ms_f sweep.measure));
-            ("nfsds", Json.Int sweep.nfsds);
-            ("seed", Json.Int sweep.seed);
-            ("offered_start", Json.Float sweep.offered_start);
-            ("offered_step", Json.Float sweep.offered_step);
-            ("max_points", Json.Int sweep.max_points);
-            ("procs_max", Json.Int sweep.procs_max);
-            ("knee_frac", Json.Float sweep.knee_frac);
-          ] );
-      ("configs", Json.List (List.map json_curve curves));
-    ]
+  Rig.artifact ~bench:"laddis_curve"
+    ~workload:
+      [
+        ("files_per_proc", Json.Int sweep.load.Laddis.files_per_proc);
+        ("file_bytes", Json.Int sweep.load.Laddis.file_size);
+        ("measure_ms", Json.Float (Time.to_ms_f sweep.load.Laddis.measure));
+        ("nfsds", Json.Int sweep.nfsds);
+        ("seed", Json.Int sweep.load.Laddis.seed);
+        ("offered_start", Json.Float sweep.offered_start);
+        ("offered_step", Json.Float sweep.offered_step);
+        ("max_points", Json.Int sweep.max_points);
+        ("procs_max", Json.Int sweep.procs_max);
+        ("knee_frac", Json.Float sweep.knee_frac);
+      ]
+    [ ("configs", Json.List (List.map json_curve curves)) ]
 
 let bench_laddis_curve ?(sweep = default_sweep) ?grid ?adjust () =
-  json_of_curves sweep (run ~sweep ?grid ?adjust ())
+  json_of_curves sweep (curves ~sweep ?grid ?adjust ())

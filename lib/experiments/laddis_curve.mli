@@ -3,14 +3,12 @@
     (the saturation knee), LADDIS style. Each configuration's curve
     yields a capacity rating — the paper's Figure 2/3 comparison run
     as one deterministic benchmark over the gathering / NVRAM /
-    scheduler / stripe-width grid. *)
+    scheduler / stripe-width grid. {!walk} is the one LADDIS rung
+    loop: Figures 2 and 3 run on it too. *)
 
 type sweep = {
-  seed : int;
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
+  load : Nfsg_workload.Laddis.config;
+      (** per-rung load; [procs] is replaced by {!procs_for} of the rung *)
   nfsds : int;
   offered_start : float;  (** first rung, ops/s *)
   offered_step : float;  (** rung spacing, ops/s *)
@@ -27,10 +25,6 @@ val procs_for : procs_max:int -> float -> int
 
 type variant = { label : string; spec : Rig.spec }
 
-val grid : variant list
-(** The curated configuration grid: baseline, gather, gather+deadline,
-    nvram, gather+stripe3. *)
-
 val detect_knee : ?frac:float -> (float * float) list -> int option
 (** [detect_knee points] is the index of the first (offered, achieved)
     rung where achieved < frac * offered, in ladder order; [None] when
@@ -43,11 +37,12 @@ val capacity_rating : ?frac:float -> (float * float) list -> float
     anywhere when every rung sagged, and 0 for an empty ladder. *)
 
 val grid_of_labels : string list -> variant list
-(** The named configurations, in grid order — how the nfsgather
+(** The named configurations of the curated grid (baseline, deadline,
+    gather, nvram, gather+stripe3), in grid order — how the nfsgather
     [--curve-configs] flag restricts a sweep. Raises
     [Invalid_argument] on an unknown label. *)
 
-(** {1 Running} *)
+(** {1 Walking} *)
 
 type curve = {
   label : string;
@@ -57,12 +52,26 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-val run :
-  ?sweep:sweep -> ?grid:variant list -> ?adjust:(Rig.spec -> Rig.spec) -> unit -> curve list
-(** Walk the ladder of every configuration in [grid] (default {!grid}).
-    [adjust] (default identity) is applied to each rung's spec just
-    before its world is built, so it wins over the configuration's own
-    choices — how nfsgather's world-wide flags reach the sweep. *)
+val walk :
+  ?adjust:(Rig.spec -> Rig.spec) ->
+  frac:float ->
+  load:Nfsg_workload.Laddis.config ->
+  rungs:(float * int) list ->
+  variant ->
+  curve
+(** Walk [variant]'s rungs in order, each an (offered ops/s, load
+    stations) pair run in a fresh {!Rig.make} world built from
+    [adjust variant.spec] (default identity, so nfsgather's world-wide
+    flags win); clients get [load.biods_per_proc] biods. The walk stops
+    after the first rung whose achieved rate is below [frac] x offered
+    and keeps that rung; [frac = 0] walks every rung. [knee] and
+    [capacity] are {!detect_knee} and {!capacity_rating} at [frac]. *)
+
+(** {1 The sweep}
+
+    {!walk} at [knee_frac] over [offered_start + i * offered_step] with
+    {!procs_for} stations, per configuration of [grid] (default: the
+    whole grid); [adjust] applies on top of the sweep's [nfsds]. *)
 
 val report :
   ?sweep:sweep ->
@@ -78,4 +87,4 @@ val bench_laddis_curve :
   unit ->
   Nfsg_stats.Json.t
 (** The committed BENCH_laddis_curve.json artifact: one fixed modest
-    sweep (same bytes regardless of quick/full); arguments as {!run}. *)
+    sweep (same bytes regardless of quick/full). *)

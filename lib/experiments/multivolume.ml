@@ -14,30 +14,27 @@ module Report = Nfsg_stats.Report
    two single spindles and a 3-drive stripe set. Volume 0's spindle is
    fault-wrapped so an error window can be opened on it alone. *)
 let nvols = 3
+let nfsds = 12
 
-type config = {
-  seed : int;
-  procs : int;
-  files_per_proc : int;
-  file_size : int;
-  offered : float;
-  warmup : Time.t;
-  measure : Time.t;
-  nfsds : int;
-  fault_prob : float;
-}
+(* Per-transaction failure probability inside the error window. *)
+let fault_prob = 0.4
+
+(* [load.seed] also seeds the segment and the fault injector. *)
+type config = { load : Laddis.config; offered : float }
 
 let default =
   {
-    seed = 1994;
-    procs = 6;
-    files_per_proc = 4;
-    file_size = 64 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.procs = 6;
+        files_per_proc = 4;
+        file_size = 64 * 1024;
+        warmup = Time.sec 1;
+        measure = Time.sec 5;
+        seed = 1994;
+      };
     offered = 160.0;
-    warmup = Time.sec 1;
-    measure = Time.sec 5;
-    nfsds = 12;
-    fault_prob = 0.4;
   }
 
 type vol_stats = {
@@ -47,9 +44,7 @@ type vol_stats = {
   batches : int;
   mean_batch : float;
   flushes_saved : int;
-  write_mean_us : float;
-  write_p50_us : float;
-  write_p99_us : float;
+  write : Rig.latency;
 }
 
 type phase = { point : Laddis.point; vols : vol_stats list }
@@ -69,7 +64,7 @@ let run_world ?fault cfg =
         Calib.disk_geometry
     in
     let d0 = mk_disk "vol1-rz26" in
-    let inj, dev0 = Fault_disk.wrap env.eng ~seed:(cfg.seed lxor 0xfa01) d0 in
+    let inj, dev0 = Fault_disk.wrap env.eng ~seed:(cfg.load.Laddis.seed lxor 0xfa01) d0 in
     injector := Some inj;
     let d1 = mk_disk "vol2-rz26" in
     let stripe = Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i)) in
@@ -77,39 +72,31 @@ let run_world ?fault cfg =
     { Rig.raw = Array.append [| d0; d1 |] stripe; exports = [ dev0; d1; dev2 ] }
   in
   let rig =
-    Rig.make ~seed:(cfg.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
-      { Rig.default_spec with Rig.nfsds = cfg.nfsds }
+    Rig.make ~seed:(cfg.load.Laddis.seed lxor 0x3a7) ~storage ~metrics:(Metrics.create ())
+      { Rig.default_spec with Rig.nfsds }
   in
   let injector = Option.get !injector and metrics = Rig.metrics rig in
   (* Per-volume client registries: load process [i] works under export
      [i mod 3] (Laddis round-robin), and its client instruments land in
      that volume's registry — the only way WRITE latency can be read
      per volume while the server is shared. *)
-  let assignment = Array.of_list (Laddis.export_assignment ~procs:cfg.procs ~exports:nvols) in
+  let assignment =
+    Array.of_list (Laddis.export_assignment ~procs:cfg.load.Laddis.procs ~exports:nvols)
+  in
   let cms = Array.init nvols (fun _ -> Metrics.create ()) in
   let make_client i =
-    Rig.new_client rig ~metrics:cms.(assignment.(i)) (Printf.sprintf "client%d" i)
+    Rig.new_client rig ~biods:cfg.load.Laddis.biods_per_proc ~metrics:cms.(assignment.(i))
+      (Printf.sprintf "client%d" i)
   in
   let roots = List.map snd (Server.exports rig.Rig.server) in
-  let lcfg =
-    {
-      Laddis.default_config with
-      Laddis.procs = cfg.procs;
-      files_per_proc = cfg.files_per_proc;
-      file_size = cfg.file_size;
-      warmup = cfg.warmup;
-      measure = cfg.measure;
-      seed = cfg.seed;
-    }
-  in
   let point, end_time =
     Rig.run rig (fun () ->
         (match fault with
-        | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:cfg.fault_prob
+        | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:fault_prob
         | None -> ());
         let point =
           Laddis.run rig.Rig.eng ~make_client ~root:(List.hd roots) ~exports:roots
-            ~offered:cfg.offered lcfg
+            ~offered:cfg.offered cfg.load
         in
         (point, Engine.now rig.Rig.eng))
   in
@@ -122,11 +109,6 @@ let run_world ?fault cfg =
       | Some h -> (Histogram.count h, Histogram.mean h)
       | None -> (0, 0.0)
     in
-    let lat f =
-      match Metrics.find_histogram cms.(k) ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-      | Some h -> f h
-      | None -> 0.0
-    in
     {
       export = Printf.sprintf "/export%d" k;
       fsid;
@@ -135,9 +117,7 @@ let run_world ?fault cfg =
       mean_batch;
       flushes_saved =
         Option.value ~default:0 (Metrics.find_counter metrics ~ns:wl_ns Names.metadata_flushes_saved);
-      write_mean_us = lat Histogram.mean;
-      write_p50_us = lat Histogram.median;
-      write_p99_us = lat Histogram.p99;
+      write = Rig.write_latency cms.(k);
     }
   in
   ({ point; vols = List.init nvols vol_stats }, end_time, Fault_disk.errors_injected injector)
@@ -148,20 +128,24 @@ let run_world ?fault cfg =
    first injected fault). *)
 let run ?(cfg = default) () =
   let clean, end_time, _ = run_world cfg in
-  let m_start = end_time - cfg.measure in
-  let from_ = m_start + (cfg.measure / 4) and until = m_start + (3 * cfg.measure / 4) in
+  let measure = cfg.load.Laddis.measure in
+  let m_start = end_time - measure in
+  let from_ = m_start + (measure / 4) and until = m_start + (3 * measure / 4) in
   let faulted, _, errors_injected = run_world ~fault:(from_, until) cfg in
   { clean; faulted; errors_injected }
 
 let quick_cfg =
   {
-    default with
-    procs = 3;
-    files_per_proc = 2;
-    file_size = 32 * 1024;
+    load =
+      {
+        default.load with
+        Laddis.procs = 3;
+        files_per_proc = 2;
+        file_size = 32 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 2;
+      };
     offered = 100.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 2;
   }
 
 let devices = [ "1 spindle (faultable)"; "1 spindle"; "3-drive stripe" ]
@@ -177,11 +161,11 @@ let report ?(quick = false) () =
   row "gather batches" (fun v -> float_of_int v.batches);
   row "mean batch size" (fun v -> v.mean_batch);
   row "metadata flushes saved" (fun v -> float_of_int v.flushes_saved);
-  row "WRITE latency mean (us)" (fun v -> v.write_mean_us);
-  row "WRITE latency p99 (us)" (fun v -> v.write_p99_us);
+  row "WRITE latency mean (us)" (fun v -> v.write.Rig.mean_us);
+  row "WRITE latency p99 (us)" (fun v -> v.write.Rig.p99_us);
   Report.add_row report
     (Printf.sprintf "... with vol1 error window (%d faults)" r.errors_injected)
-    (List.map (fun v -> v.write_mean_us) r.faulted.vols);
+    (List.map (fun v -> v.write.Rig.mean_us) r.faulted.vols);
   report
 
 (* {1 BENCH_multivolume.json}
@@ -193,15 +177,17 @@ let report ?(quick = false) () =
 
 let bench_cfg =
   {
-    seed = 7;
-    procs = 6;
-    files_per_proc = 2;
-    file_size = 32 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.procs = 6;
+        files_per_proc = 2;
+        file_size = 32 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
+        seed = 7;
+      };
     offered = 120.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 3;
-    nfsds = 12;
-    fault_prob = 0.4;
   }
 
 let bench_multivolume () =
@@ -220,32 +206,23 @@ let bench_multivolume () =
               ("mean_batch", Json.Float v.mean_batch);
               ("metadata_flushes_saved", Json.Int v.flushes_saved);
             ] );
-        ( "write_latency",
-          Json.Obj
-            [
-              ("mean_us", Json.Float v.write_mean_us);
-              ("p50_us", Json.Float v.write_p50_us);
-              ("p99_us", Json.Float v.write_p99_us);
-            ] );
+        ("write_latency", Rig.latency_json v.write);
       ]
   in
-  Json.Obj
+  let load = bench_cfg.load in
+  Rig.artifact ~bench:"multivolume"
+    ~workload:
+      [
+        ("volumes", Json.Int nvols);
+        ("procs", Json.Int load.Laddis.procs);
+        ("files_per_proc", Json.Int load.Laddis.files_per_proc);
+        ("file_bytes", Json.Int load.Laddis.file_size);
+        ("offered_ops_s", Json.Float bench_cfg.offered);
+        ("measure_ms", Json.Float (Time.to_ms_f load.Laddis.measure));
+        ("nfsds", Json.Int nfsds);
+        ("seed", Json.Int load.Laddis.seed);
+      ]
     [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "multivolume");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("volumes", Json.Int nvols);
-            ("procs", Json.Int bench_cfg.procs);
-            ("files_per_proc", Json.Int bench_cfg.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.file_size);
-            ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.measure));
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
-          ] );
       ( "aggregate",
         Json.Obj
           [
@@ -259,6 +236,6 @@ let bench_multivolume () =
             ("volume", Json.String "/export0");
             ("errors_injected", Json.Int r.errors_injected);
             ( "write_mean_us",
-              Json.List (List.map (fun v -> Json.Float v.write_mean_us) r.faulted.vols) );
+              Json.List (List.map (fun v -> Json.Float v.write.Rig.mean_us) r.faulted.vols) );
           ] );
     ]

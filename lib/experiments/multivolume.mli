@@ -11,20 +11,11 @@
     level — a flush failing on one export never blocks another's
     plane. *)
 
-type config = {
-  seed : int;
-  procs : int;  (** load processes, round-robin over the 3 exports *)
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
-  offered : float;  (** aggregate offered load, ops/sec *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
-  nfsds : int;
-  fault_prob : float;  (** per-transaction failure probability in the window *)
-}
+type config
+(** A LADDIS load spread round-robin over the 3 exports. *)
 
-val default : config
 val quick_cfg : config
+(** Three load processes and a 2 s measurement: the [quick] run. *)
 
 type vol_stats = {
   export : string;
@@ -33,9 +24,7 @@ type vol_stats = {
   batches : int;  (** gather batches flushed *)
   mean_batch : float;
   flushes_saved : int;
-  write_mean_us : float;  (** client-side WRITE latency *)
-  write_p50_us : float;
-  write_p99_us : float;
+  write : Rig.latency;  (** client-side WRITE latency *)
 }
 
 type phase = { point : Nfsg_workload.Laddis.point; vols : vol_stats list }

@@ -48,14 +48,9 @@ let default =
 type variant = { level : Stripe.level; gather : bool }
 
 let variants =
-  [
-    { level = Stripe.Raid0; gather = false };
-    { level = Stripe.Raid0; gather = true };
-    { level = Stripe.Raid1; gather = false };
-    { level = Stripe.Raid1; gather = true };
-    { level = Stripe.Raid5; gather = false };
-    { level = Stripe.Raid5; gather = true };
-  ]
+  List.concat_map
+    (fun level -> [ { level; gather = false }; { level; gather = true } ])
+    [ Stripe.Raid0; Stripe.Raid1; Stripe.Raid5 ]
 
 let label v = Stripe.level_name v.level ^ if v.gather then "+gather" else ""
 
@@ -213,7 +208,7 @@ let run_variant cfg v =
 
 let run ?(cfg = default) () = List.map (run_variant cfg) variants
 
-let report ?quick:_ () =
+let report () =
   let rows = run () in
   let report =
     Report.create ~title:"Redundant arrays: RAID level x write gathering, 3 spindles"
@@ -236,10 +231,8 @@ let report ?quick:_ () =
    The committed artifact CI regenerates and diffs, like the other
    bench JSON files: one fixed workload, byte-deterministic output. *)
 
-let bench_cfg = default
-
 let bench_raid () =
-  let rows = run ~cfg:bench_cfg () in
+  let rows = run () in
   let json_row r =
     Json.Obj
       [
@@ -268,21 +261,15 @@ let bench_raid () =
                 ] );
       ]
   in
-  Json.Obj
-    [
-      ("schema", Json.String "nfsgather-bench/1");
-      ("bench", Json.String "raid");
-      ( "workload",
-        Json.Obj
-          [
-            ("net", Json.String "fddi");
-            ("members", Json.Int bench_cfg.members);
-            ("member_capacity", Json.Int bench_cfg.member_capacity);
-            ("chunk", Json.Int bench_cfg.chunk);
-            ("writers", Json.Int bench_cfg.writers);
-            ("blocks_per_writer", Json.Int bench_cfg.blocks_per_writer);
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
-          ] );
-      ("rows", Json.List (List.map json_row rows));
-    ]
+  Rig.artifact ~bench:"raid"
+    ~workload:
+      [
+        ("members", Json.Int default.members);
+        ("member_capacity", Json.Int default.member_capacity);
+        ("chunk", Json.Int default.chunk);
+        ("writers", Json.Int default.writers);
+        ("blocks_per_writer", Json.Int default.blocks_per_writer);
+        ("nfsds", Json.Int default.nfsds);
+        ("seed", Json.Int default.seed);
+      ]
+    [ ("rows", Json.List (List.map json_row rows)) ]

@@ -61,8 +61,9 @@ val run : ?cfg:config -> unit -> row list
 (** Deterministic in [cfg] alone; one fresh simulated world per
     variant. *)
 
-val report : ?quick:bool -> unit -> Nfsg_stats.Report.t
+val report : unit -> Nfsg_stats.Report.t
+(** Text table over {!run} with the {!default} config. *)
 
 val bench_raid : unit -> Nfsg_stats.Json.t
-(** The fixed-workload artifact written to [BENCH_raid.json] and
-    byte-diffed by CI. *)
+(** The artifact written to [BENCH_raid.json] (the {!default} config)
+    and byte-diffed by CI. *)

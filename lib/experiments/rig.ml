@@ -11,6 +11,9 @@ module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
 module Rpc_client = Nfsg_rpc.Rpc_client
 module Metrics = Nfsg_stats.Metrics
+module Histogram = Nfsg_stats.Histogram
+module Names = Nfsg_stats.Names
+module Json = Nfsg_stats.Json
 
 type env = {
   eng : Engine.t;
@@ -211,3 +214,25 @@ let measure t f =
       disk_kb_s = float_of_int (d1.Device.bytes_moved - d0.Device.bytes_moved) /. 1024.0 /. sec;
       disk_trans_s = float_of_int trans /. sec;
     } )
+
+type latency = { mean_us : float; p50_us : float; p99_us : float }
+
+let write_latency m =
+  match Metrics.find_histogram m ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
+  | Some h -> { mean_us = Histogram.mean h; p50_us = Histogram.median h; p99_us = Histogram.p99 h }
+  | None -> { mean_us = 0.0; p50_us = 0.0; p99_us = 0.0 }
+
+let latency_json l =
+  Json.Obj
+    [
+      ("mean_us", Json.Float l.mean_us); ("p50_us", Json.Float l.p50_us); ("p99_us", Json.Float l.p99_us);
+    ]
+
+(* Every committed BENCH_*.json shares this envelope; the format
+   version lives here and nowhere else. *)
+let artifact ~bench ~workload fields =
+  Json.Obj
+    (("schema", Json.String "nfsgather-bench/1")
+    :: ("bench", Json.String bench)
+    :: ("workload", Json.Obj (("net", Json.String "fddi") :: workload))
+    :: fields)

@@ -122,3 +122,20 @@ type window = {
 val measure : t -> (unit -> 'a) -> 'a * window
 (** Snapshot CPU and spindle counters around [f] (which must be called
     from inside a driver process — compose with {!run}). *)
+
+type latency = { mean_us : float; p50_us : float; p99_us : float }
+
+val write_latency : Nfsg_stats.Metrics.t -> latency
+(** Client-side WRITE latency in a registry's [nfs_client] histogram;
+    zeros when no WRITE completed. *)
+
+val latency_json : latency -> Nfsg_stats.Json.t
+(** [{"mean_us", "p50_us", "p99_us"}], as every bench artifact writes it. *)
+
+val artifact :
+  bench:string ->
+  workload:(string * Nfsg_stats.Json.t) list ->
+  (string * Nfsg_stats.Json.t) list ->
+  Nfsg_stats.Json.t
+(** A committed [BENCH_*.json] document: the [schema] and [bench]
+    header, then [workload] behind ["net": "fddi"], then [fields]. *)

@@ -84,8 +84,6 @@ let partition t ~a ~b ~until =
      set: at most one entry per pair. *)
   t.partitions <- (a, b, until) :: List.filter (fun e -> not (pair_matches a b e)) t.partitions
 
-let heal t ~a ~b = t.partitions <- List.filter (fun e -> not (pair_matches a b e)) t.partitions
-
 let partitioned t ~a ~b =
   let now = Engine.now t.eng in
   (* Lazily drop expired windows so the list never grows with history. *)

@@ -18,9 +18,9 @@
     {b Fault injection.} Loss probability is runtime-adjustable
     ({!set_loss_prob}); datagrams can be probabilistically duplicated
     ({!set_dup_prob}); and time-windowed {!partition}s black out all
-    traffic between an address pair until they expire or are
-    {!heal}ed. All draws come from the segment's seeded RNG, so a
-    fault schedule is bit-for-bit reproducible. *)
+    traffic between an address pair until they expire. All draws come
+    from the segment's seeded RNG, so a fault schedule is bit-for-bit
+    reproducible. *)
 
 type params = {
   bandwidth : float;  (** bits per second *)
@@ -70,9 +70,6 @@ val partition : t -> a:string -> b:string -> until:Nfsg_sim.Time.t -> unit
 (** Black out all traffic between addresses [a] and [b] (both
     directions) until the absolute instant [until]. Re-partitioning a
     pair replaces its window. *)
-
-val heal : t -> a:string -> b:string -> unit
-(** End a partition early. No-op if the pair is not partitioned. *)
 
 val partitioned : t -> a:string -> b:string -> bool
 

@@ -28,10 +28,6 @@ val view_copy : view -> Bytes.t
 
 val view_to_string : view -> string
 
-val view_get : view -> int -> char
-(** Byte at window-relative index; raises [Invalid_argument] outside
-    the window. *)
-
 val blit_view : view -> src_off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy [len] bytes starting at window-relative [src_off] into [dst].
     The escape hatch for cache fills; bounds-checked against the
@@ -131,9 +127,6 @@ module Dec : sig
   val enum : t -> int
   val opaque_fixed : t -> int -> Bytes.t
   val opaque : t -> Bytes.t
-
-  val opaque_fixed_view : t -> int -> view
-  (** Zero-copy {!opaque_fixed}: a window into the decoder's buffer. *)
 
   val opaque_view : t -> view
   (** Zero-copy {!opaque}: length-prefixed window, no allocation

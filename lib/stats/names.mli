@@ -42,8 +42,6 @@ module Ns : sig
   val trace : string
   (** Trace-ring health: the dropped-record counters. *)
 
-  val station_prefix : string
-
   val station : string -> string
   (** [station c] is ["station." ^ c] — per-client attribution. *)
 

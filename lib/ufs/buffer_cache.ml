@@ -370,10 +370,6 @@ let write_sync c b =
         | _ -> ());
         raise exn)
 
-let dirty_blocks c kind =
-  Hashtbl.fold (fun b e acc -> if e.dirty = Some kind then b :: acc else acc) c.table []
-  |> List.sort compare
-
 (* One snapshotted cluster write plus the restore record needed to
    re-dirty its blocks if the request fails. *)
 type prepared = (Io.req * (entry * kind option) list) list

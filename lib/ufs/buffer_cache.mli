@@ -117,9 +117,6 @@ val await_prepared : prepared list -> unit
     storage, so a later sync must retry them); then the first failure
     is re-raised. *)
 
-val dirty_blocks : t -> kind -> int list
-(** Sorted block numbers currently dirty with the given kind. *)
-
 val install : t -> int -> Bytes.t -> unit
 (** Seed the cache with a clean buffer for block [b] without device
     I/O (mount-time prewarm from stable storage). The bytes are copied.

@@ -71,6 +71,25 @@ let test_fault_disk_unit () =
       Fault_disk.clear inj);
   Engine.run eng
 
+(* fail_class addresses requests by who is asking: the armed class
+   fails, every other class sails through. *)
+let test_fail_class () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng disk_geometry in
+  let inj, dev = Fault_disk.wrap eng disk in
+  let data = Bytes.make 8192 'c' in
+  let write class_ = Nfsg_disk.Io.blocking_write ~submit:dev.Device.submit ~class_ ~off:0 data in
+  Engine.spawn eng ~name:"driver" (fun () ->
+      Fault_disk.fail_class ~n:1 inj `Gather_flush;
+      write `Sync_write;
+      (try
+         write `Gather_flush;
+         Alcotest.fail "armed gather flush must raise"
+       with Device.Io_error _ -> ());
+      write `Gather_flush;
+      Alcotest.(check int) "one injected error" 1 (Fault_disk.errors_injected inj));
+  Engine.run eng
+
 (* fail_stop/revive: whole-spindle loss, distinct from the transient
    arms — every request errors and even stable ops raise, until the
    replacement is plugged in. *)
@@ -431,6 +450,7 @@ let test_chaos_accelerated () =
 let suite =
   [
     Alcotest.test_case "fault-disk primitives." `Quick test_fault_disk_unit;
+    Alcotest.test_case "fail_class hits only its class." `Quick test_fail_class;
     Alcotest.test_case "fail-stop and revive." `Quick test_fail_stop_revive;
     Alcotest.test_case "nvram battery failure." `Quick test_nvram_battery;
     Alcotest.test_case "nvram flusher rides through disk errors." `Quick

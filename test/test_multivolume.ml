@@ -17,6 +17,7 @@ module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
 module Laddis = Nfsg_workload.Laddis
 module Multivolume = Nfsg_experiments.Multivolume
+module Rig = Nfsg_experiments.Rig
 
 type world = {
   eng : Engine.t;
@@ -234,11 +235,11 @@ let test_multivolume_experiment () =
   List.iter2
     (fun clean faulted ->
       if clean.Multivolume.fsid > 1 then begin
-        let limit = (clean.Multivolume.write_mean_us *. 1.25) +. 2000.0 in
-        if faulted.Multivolume.write_mean_us > limit then
+        let clean_us = clean.Multivolume.write.Rig.mean_us in
+        let faulted_us = faulted.Multivolume.write.Rig.mean_us in
+        if faulted_us > (clean_us *. 1.25) +. 2000.0 then
           Alcotest.failf "volume %d slowed by volume 1's fault: %.0fus clean, %.0fus faulted"
-            clean.Multivolume.fsid clean.Multivolume.write_mean_us
-            faulted.Multivolume.write_mean_us
+            clean.Multivolume.fsid clean_us faulted_us
       end)
     r.Multivolume.clean.Multivolume.vols r.Multivolume.faulted.Multivolume.vols
 
