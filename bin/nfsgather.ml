@@ -42,9 +42,10 @@ let raid_level_arg =
       ]
   in
   let doc =
-    "Serve every multi-spindle rig-built experiment from a redundant array at the given RAID \
-     level ($(docv) is one of raid0, raid1 or raid5) instead of the plain stripe set; the \
-     chaos rig additionally fail-stops and rebuilds one member per fault cycle."
+    "Serve every multi-spindle rig-built experiment from an array at the given RAID level \
+     ($(docv) is one of raid0, raid1 or raid5; raid0, the plain stripe set, is the default). \
+     The chaos rig runs over an array of that level instead of its single disk and, at raid1 \
+     and raid5, fail-stops and rebuilds one member per fault cycle."
   in
   Arg.(value & opt (some level) None & info [ "raid-level" ] ~docv:"LEVEL" ~doc)
 
@@ -192,7 +193,7 @@ let run quick scheduler raid_level sweep_points procs_max curve_configs clients_
     {
       spec with
       Rig.disk_scheduler = Option.value scheduler ~default:spec.Rig.disk_scheduler;
-      raid_level = prefer raid_level spec.Rig.raid_level;
+      raid_level = Option.value raid_level ~default:spec.Rig.raid_level;
       long_op_threshold = prefer long_op_threshold spec.Rig.long_op_threshold;
       monitor_interval = prefer monitor_interval spec.Rig.monitor_interval;
       monitor_emit = prefer emit spec.Rig.monitor_emit;

@@ -16,10 +16,12 @@ type stats = {
 
 exception Io_error of string
 (** A transient I/O failure: the transaction was not performed (or not
-    completed) and the data involved is {e not} on stable storage. Only
-    raised by fault-injecting device wrappers ({!Nfsg_fault.Fault_disk})
-    and by devices whose backing store reports one; callers must treat
-    it as retryable and must not assume any state change. *)
+    completed) and the data involved is {e not} on stable storage.
+    Raised by fault-injecting device wrappers ({!Nfsg_fault.Fault_disk}),
+    by devices whose backing store reports one, and by a {!Stripe}
+    array that has lost the members a request needs ("no live mirror",
+    "multiple members lost"); callers must treat it as retryable and
+    must not assume any state change. *)
 
 type t = {
   name : string;

@@ -9,120 +9,6 @@ type member_state = Active | Failed | Rebuilding
 
 let level_name = function Raid0 -> "raid0" | Raid1 -> "raid1" | Raid5 -> "raid5"
 
-(* {1 RAID-0 core}
-
-   The original striping driver, kept verbatim as the [Raid0] path: the
-   committed BENCH artifacts were produced through it and its behaviour
-   is part of their byte contract. *)
-
-type r0 = { chunk : int; members : Device.t array; capacity : int }
-
-(* Map a logical byte offset to (member index, member-local offset). *)
-let locate st off =
-  let chunk_idx = off / st.chunk in
-  let member = chunk_idx mod Array.length st.members in
-  let member_chunk = chunk_idx / Array.length st.members in
-  (member, (member_chunk * st.chunk) + (off mod st.chunk))
-
-(* Split [off, off+len) at chunk boundaries into per-member pieces:
-   (member, member_off, logical_off, piece_len) list. *)
-let split st ~off ~len =
-  let rec go acc off remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let within = off mod st.chunk in
-      let piece = Stdlib.min remaining (st.chunk - within) in
-      let member, moff = locate st off in
-      go ((member, moff, off, piece) :: acc) (off + piece) (remaining - piece)
-    end
-  in
-  go [] off len
-
-(* One epoch = the requests between two barriers. Each request is cut
-   into per-member pieces and the pieces go out as one batch per member
-   (no process per piece: completions chain through [Ivar.upon]). [k]
-   runs when every request of the epoch has completed, carrying the
-   first piece error if any — the gate that keeps an epoch behind a
-   barrier from starting before the previous one is stable on every
-   spindle, not just its own. *)
-let launch_epoch st reqs k =
-  let outstanding = ref (List.length reqs) in
-  let epoch_err = ref None in
-  if !outstanding = 0 then k None
-  else begin
-    let per_member = Array.make (Array.length st.members) [] in
-    let finish_req r err =
-      (match err with
-      | Some e ->
-          if !epoch_err = None then epoch_err := Some e;
-          Io.fail r e
-      | None -> Io.complete r);
-      decr outstanding;
-      if !outstanding = 0 then k !epoch_err
-    in
-    List.iter
-      (fun (r : Io.req) ->
-        match split st ~off:r.Io.off ~len:r.Io.len with
-        | [] -> finish_req r None
-        | pieces ->
-            let remaining = ref (List.length pieces) in
-            let perr = ref None in
-            List.iter
-              (fun (m, moff, loff, plen) ->
-                let pr =
-                  match r.Io.op with
-                  | Io.Write ->
-                      Io.write_req ~class_:r.Io.class_ ~off:moff
-                        (Bytes.sub r.Io.buf (loff - r.Io.off) plen)
-                  | Io.Read -> Io.read_req ~off:moff ~len:plen ()
-                in
-                Ivar.upon pr.Io.done_ (fun () ->
-                    (match pr.Io.error with
-                    | Some e -> if !perr = None then perr := Some e
-                    | None ->
-                        if r.Io.op = Io.Read then
-                          Bytes.blit pr.Io.buf 0 r.Io.buf (loff - r.Io.off) plen);
-                    decr remaining;
-                    if !remaining = 0 then finish_req r !perr);
-                per_member.(m) <- Io.Req pr :: per_member.(m))
-              pieces)
-      reqs;
-    Array.iteri
-      (fun m batch -> if batch <> [] then st.members.(m).Device.submit (List.rev batch))
-      per_member
-  end
-
-(* A failed epoch poisons everything behind its barrier in the same
-   submission: the later items were ordered because they depend on the
-   earlier ones being stable, so they must not reach the spindles. *)
-let abort_tail exn items =
-  List.iter
-    (fun item ->
-      match item with Io.Req r -> Io.fail r exn | Io.Barrier b -> Ivar.fill b.done_ ())
-    items
-
-let rec cut_epoch acc = function
-  | Io.Req r :: rest -> cut_epoch (r :: acc) rest
-  | (Io.Barrier _ :: _ | []) as rest -> (List.rev acc, rest)
-
-let rec submit_epochs st items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let reqs, rest = cut_epoch [] items in
-      launch_epoch st reqs (fun err ->
-          match rest with
-          | [] -> ()
-          | Io.Barrier b :: tail -> (
-              match err with
-              | Some e ->
-                  Ivar.fill b.done_ ();
-                  abort_tail e tail
-              | None ->
-                  Ivar.fill b.done_ ();
-                  submit_epochs st tail)
-          | Io.Req _ :: _ -> assert false)
-
 (* {1 Instrumentation} *)
 
 type inst = {
@@ -157,7 +43,7 @@ let make_inst metrics name =
 
 (* {1 The array} *)
 
-type t = {
+type core = {
   eng : Engine.t;
   name : string;
   lvl : level;
@@ -165,8 +51,7 @@ type t = {
   members : Device.t array;
   n : int;
   state : member_state array;
-  member_cap : int;  (** usable bytes per member, whole chunks *)
-  rows : int;  (** stripe rows = member_cap / chunk *)
+  rows : int;  (** stripe rows per member *)
   capacity : int;  (** logical bytes exposed *)
   inst : inst;
   mutable rotor : int;  (** RAID-1 read balancing *)
@@ -183,29 +68,44 @@ type t = {
           never stay divergent for a commit that was in flight. *)
   mutable rebuild_cursor : (int * int) option;
       (** (member, first row not yet resilvered) *)
-  mutable dev : Device.t option;
 }
 
+type t = { core : core; dev : Device.t }
+
+(* {2 Layout}
+
+   Stripe row [s] of a striped level holds one chunk per member at
+   member offset [s * chunk]. RAID-0 fills every chunk of the row with
+   data; RAID-5 keeps parity on member [n-1 - (s mod n)] and the data
+   positions skip it. RAID-1 rows are just chunk-sized bands of the
+   mirrored range. *)
+
+let data_chunks t = match t.lvl with Raid5 -> t.n - 1 | Raid0 | Raid1 -> t.n
 let parity_member t row = t.n - 1 - (row mod t.n)
 
 let data_member t row j =
-  let p = parity_member t row in
-  if j < p then j else j + 1
+  match t.lvl with
+  | Raid5 ->
+      let p = parity_member t row in
+      if j < p then j else j + 1
+  | Raid0 | Raid1 -> j
 
-(* Split a logical RAID-5 range into (row, data_pos, chunk_off, len,
-   logical_off) pieces, cut at chunk boundaries. *)
-let split5 t ~off ~len =
-  let nd = t.n - 1 in
+(* Split a logical range of a striped level into (row, data_pos,
+   logical_off, len) pieces, cut at chunk boundaries. *)
+let split t ~off ~len =
+  let nd = data_chunks t in
   let rec go acc off remaining =
     if remaining = 0 then List.rev acc
     else begin
-      let within = off mod t.chunk in
-      let piece = Stdlib.min remaining (t.chunk - within) in
+      let piece = Stdlib.min remaining (t.chunk - (off mod t.chunk)) in
       let l = off / t.chunk in
-      go ((l / nd, l mod nd, within, piece, off) :: acc) (off + piece) (remaining - piece)
+      go ((l / nd, l mod nd, off, piece) :: acc) (off + piece) (remaining - piece)
     end
   in
   go [] off len
+
+(* Where logical offset [off] of stripe row [row] sits on its member. *)
+let member_off t row off = (row * t.chunk) + (off mod t.chunk)
 
 let rows_of t ~off ~len =
   if len = 0 then []
@@ -236,6 +136,118 @@ let note_failure t m =
       Metrics.incr t.inst.m_member_failures
 
 let degraded t = Array.exists (fun s -> s <> Active) t.state
+
+let xor_into dst src =
+  for i = 0 to Bytes.length src - 1 do
+    Bytes.unsafe_set dst i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst i) lxor Char.code (Bytes.unsafe_get src i)))
+  done
+
+(* Hand every member its batch of a [per_member] plan, each in the
+   order its pieces were planned. *)
+let submit_batches t per_member =
+  Array.iteri
+    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
+    per_member
+
+(* XOR of every member but [skip] over one range: what [skip] holds (or
+   must hold) there, whether that is data or parity. [read m] gives
+   member [m]'s bytes for the range, or [None] when it cannot; the first
+   [None] gives up. *)
+let peer_xor t ~skip ~len read =
+  let acc = Bytes.make len '\000' in
+  let rec go m =
+    if m = t.n then Some acc
+    else if m = skip then go (m + 1)
+    else
+      match read m with
+      | None -> None
+      | Some b ->
+          xor_into acc b;
+          go (m + 1)
+  in
+  go 0
+
+(* {2 Epochs}
+
+   One epoch = the requests between two barriers. Each level's epoch
+   takes the requests and a continuation that receives the first error;
+   the continuation releases the barrier — the gate that keeps an epoch
+   behind a barrier from starting before the previous one is stable on
+   every spindle, not just its own. *)
+
+(* A failed epoch poisons everything behind its barrier in the same
+   submission: the later items were ordered because they depend on the
+   earlier ones being stable, so they must not reach the spindles. *)
+let abort_tail exn items =
+  List.iter
+    (fun item ->
+      match item with Io.Req r -> Io.fail r exn | Io.Barrier b -> Ivar.fill b.done_ ())
+    items
+
+let rec cut_epoch acc = function
+  | Io.Req r :: rest -> cut_epoch (r :: acc) rest
+  | (Io.Barrier _ :: _ | []) as rest -> (List.rev acc, rest)
+
+let rec run_epochs epoch items =
+  let reqs, rest = cut_epoch [] items in
+  epoch reqs (fun err ->
+      match rest with
+      | [] -> ()
+      | Io.Barrier b :: tail -> (
+          Ivar.fill b.done_ ();
+          match err with Some e -> abort_tail e tail | None -> run_epochs epoch tail)
+      | Io.Req _ :: _ -> assert false)
+
+(* The RAID-0 epoch: each request is cut into per-member pieces and the
+   pieces go out as one batch per member. No process per submission:
+   completions chain through [Ivar.upon], and [k] runs from the last
+   one. *)
+let launch_epoch t reqs k =
+  let outstanding = ref (List.length reqs) in
+  let epoch_err = ref None in
+  if !outstanding = 0 then k None
+  else begin
+    let per_member = Array.make t.n [] in
+    let finish_req r err =
+      (match err with
+      | Some e ->
+          if !epoch_err = None then epoch_err := Some e;
+          Io.fail r e
+      | None -> Io.complete r);
+      decr outstanding;
+      if !outstanding = 0 then k !epoch_err
+    in
+    List.iter
+      (fun (r : Io.req) ->
+        match split t ~off:r.Io.off ~len:r.Io.len with
+        | [] -> finish_req r None
+        | pieces ->
+            let remaining = ref (List.length pieces) in
+            let perr = ref None in
+            List.iter
+              (fun (row, j, loff, plen) ->
+                let m = data_member t row j and moff = member_off t row loff in
+                let pr =
+                  match r.Io.op with
+                  | Io.Write ->
+                      Io.write_req ~class_:r.Io.class_ ~off:moff
+                        (Bytes.sub r.Io.buf (loff - r.Io.off) plen)
+                  | Io.Read -> Io.read_req ~off:moff ~len:plen ()
+                in
+                Ivar.upon pr.Io.done_ (fun () ->
+                    (match pr.Io.error with
+                    | Some e -> if !perr = None then perr := Some e
+                    | None ->
+                        if r.Io.op = Io.Read then
+                          Bytes.blit pr.Io.buf 0 r.Io.buf (loff - r.Io.off) plen);
+                    decr remaining;
+                    if !remaining = 0 then finish_req r !perr);
+                per_member.(m) <- Io.Req pr :: per_member.(m))
+              pieces)
+      reqs;
+    submit_batches t per_member
+  end
 
 (* {2 Row locks}
 
@@ -301,29 +313,9 @@ let replay_journal t =
 
 (* {2 Member I/O}
 
-   Blocking single-request helpers for the redundant paths; an error
-   marks the member failed (fail-stop model: the first error a member
-   returns is its last useful word). *)
-
-let mread t m ~class_ ~off ~len =
-  let r = Io.read_req ~class_ ~off ~len () in
-  t.members.(m).Device.submit [ Io.Req r ];
-  Ivar.read r.Io.done_;
-  if r.Io.error <> None then note_failure t m;
-  (r.Io.error, r.Io.buf)
-
-let mwrite t m ~class_ ~off data =
-  let r = Io.write_req ~class_ ~off data in
-  t.members.(m).Device.submit [ Io.Req r ];
-  Ivar.read r.Io.done_;
-  if r.Io.error <> None then note_failure t m;
-  r.Io.error
-
-let xor_into dst src =
-  for i = 0 to Bytes.length src - 1 do
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst i) lxor Char.code (Bytes.unsafe_get src i)))
-  done
+   Blocking helpers for the redundant paths; an error marks the member
+   failed (fail-stop model: the first error a member returns is its
+   last useful word). *)
 
 (* Submit [rs] as one batch per member (keeps the member schedulers
    merging) and block until every request has completed, successfully
@@ -331,14 +323,29 @@ let xor_into dst src =
 let batch_await t rs =
   let per_member = Array.make t.n [] in
   List.iter (fun (m, r) -> per_member.(m) <- Io.Req r :: per_member.(m)) rs;
-  Array.iteri
-    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-    per_member;
+  submit_batches t per_member;
   List.iter
     (fun (m, (r : Io.req)) ->
       Ivar.read r.Io.done_;
       if r.Io.error <> None then note_failure t m)
     rs
+
+(* Read one range of member [m]: its bytes, or [None] on error. *)
+let mread t m ~class_ ~off ~len =
+  let r = Io.read_req ~class_ ~off ~len () in
+  batch_await t [ (m, r) ];
+  if r.Io.error = None then Some r.Io.buf else None
+
+let no_mirror t = Device.Io_error (t.name ^ ": no live mirror")
+let lost t = Device.Io_error (t.name ^ ": multiple members lost")
+
+(* Settle a logical request: complete it, or fail it and report the
+   error to its epoch. *)
+let settle note_err (r : Io.req) = function
+  | None -> Io.complete r
+  | Some e ->
+      note_err e;
+      Io.fail r e
 
 (* {1 RAID-1} *)
 
@@ -350,20 +357,15 @@ let serve_read1 t (r : Io.req) note_err =
   let start = t.rotor in
   t.rotor <- (t.rotor + 1) mod t.n;
   let rec probe k =
-    if k = t.n then begin
-      let e = Device.Io_error (t.name ^ ": no live mirror") in
-      note_err e;
-      Io.fail r e
-    end
+    if k = t.n then settle note_err r (Some (no_mirror t))
     else begin
       let m = (start + k) mod t.n in
       if List.for_all (fun row -> live t m ~row) rows then begin
-        let err, buf = mread t m ~class_:r.Io.class_ ~off:r.Io.off ~len:r.Io.len in
-        match err with
-        | None ->
+        match mread t m ~class_:r.Io.class_ ~off:r.Io.off ~len:r.Io.len with
+        | Some buf ->
             Bytes.blit buf 0 r.Io.buf 0 r.Io.len;
             Io.complete r
-        | Some _ -> probe (k + 1)
+        | None -> probe (k + 1)
       end
       else probe (k + 1)
     end
@@ -407,9 +409,7 @@ let write1_locked t ~gen (r : Io.req) note_err =
     match !twins with
     | [] ->
         List.iter (fun row -> unlock_row t ~gen row) got;
-        let e = Device.Io_error (t.name ^ ": no live mirror") in
-        note_err e;
-        Io.fail r e
+        settle note_err r (Some (no_mirror t))
     | rs ->
         let seq = journal_add t !jwrites in
         (* nfsrace: allow Y001 the row locks must span the mirror round trip so the resilver cursor decision stays stable for the whole batch *)
@@ -417,12 +417,7 @@ let write1_locked t ~gen (r : Io.req) note_err =
         let ok = List.exists (fun (_, (tw : Io.req)) -> tw.Io.error = None) rs in
         journal_del t ~gen seq;
         List.iter (fun row -> unlock_row t ~gen row) got;
-        if ok then Io.complete r
-        else begin
-          let e = Device.Io_error (t.name ^ ": no live mirror") in
-          note_err e;
-          Io.fail r e
-        end
+        settle note_err r (if ok then None else Some (no_mirror t))
   end
 
 let epoch1 t ~gen reqs =
@@ -453,9 +448,7 @@ let epoch1 t ~gen reqs =
               `R (r, m, tw))
         reqs
     in
-    Array.iteri
-      (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-      per_member;
+    submit_batches t per_member;
     List.iter
       (function
         | `W (_, _, twins) -> List.iter (fun (_, (tw : Io.req)) -> Ivar.read tw.Io.done_) twins
@@ -470,15 +463,8 @@ let epoch1 t ~gen reqs =
                 match tw.Io.error with Some _ -> note_failure t m | None -> incr ok)
               twins;
             journal_del t ~gen seq;
-            if !ok = 0 then begin
-              let e = Device.Io_error (t.name ^ ": no live mirror") in
-              note_err e;
-              Io.fail r e
-            end
-            else begin
-              if !ok < t.n then Metrics.incr t.inst.m_degraded_writes;
-              Io.complete r
-            end
+            if !ok > 0 && !ok < t.n then Metrics.incr t.inst.m_degraded_writes;
+            settle note_err r (if !ok = 0 then Some (no_mirror t) else None)
         | `R (r, m, tw) -> (
             match tw.Io.error with
             | None ->
@@ -505,36 +491,27 @@ let epoch1 t ~gen reqs =
 
 (* {1 RAID-5} *)
 
-(* Reconstruct a byte range of a dead data chunk: XOR of the parity
-   chunk and every other data chunk over the range, under the row lock
-   so a parity update cannot interleave. *)
-let reconstruct5 t ~gen ~row ~j ~coff ~plen =
+(* Reconstruct a byte range of a dead data chunk from its peers, under
+   the row lock so a parity update cannot interleave. *)
+let reconstruct5 t ~gen ~row ~j ~loff ~plen =
   match
     with_row t ~gen row
       ~crashed:(fun () ->
         crashed_park ();
         None)
       (fun () ->
-        let dead = data_member t row j in
-        let moff = (row * t.chunk) + coff in
-        let acc = Bytes.make plen '\000' in
-        let err = ref None in
-        for m = 0 to t.n - 1 do
-          if m <> dead && !err = None then
-            if not (live t m ~row) then
-              err := Some (Device.Io_error (t.name ^ ": second member lost"))
-            else begin
-              (* nfsrace: allow Y001 the row lock spans the member reads so a parity update cannot interleave with the reconstruction *)
-              let e, buf = mread t m ~class_:`Read ~off:moff ~len:plen in
-              match e with Some ex -> err := Some ex | None -> xor_into acc buf
-            end
-        done;
-        Some (!err, acc))
+        let moff = member_off t row loff in
+        Some
+          (peer_xor t ~skip:(data_member t row j) ~len:plen (fun m ->
+               if not (live t m ~row) then None
+               else
+                 (* nfsrace: allow Y001 the row lock spans the member reads so a parity update cannot interleave with the reconstruction *)
+                 mread t m ~class_:`Read ~off:moff ~len:plen)))
   with
   | None -> None
-  | Some (err, acc) ->
+  | Some acc ->
       Metrics.incr t.inst.m_degraded_reads;
-      (match err with Some _ -> None | None -> Some acc)
+      acc
 
 let covered_fully ivals chunk =
   let s = List.sort compare ivals in
@@ -554,6 +531,15 @@ let commit_row5_locked t ~gen ~row patches =
   let rec attempt tries =
     if tries > 2 then Some (Device.Io_error (t.name ^ ": row commit failed"))
     else begin
+      (* A member error marked its member failed: retry against the new
+         member states, or park if the array crashed under the commit. *)
+      let retry () =
+        if t.gen <> gen then begin
+          crashed_park ();
+          None
+        end
+        else attempt (tries + 1)
+      in
       let p = parity_member t row in
       let cov = Array.make nd [] in
       List.iter (fun (j, coff, plen, src, soff) -> cov.(j) <- (coff, plen, src, soff) :: cov.(j)) patches;
@@ -563,7 +549,7 @@ let commit_row5_locked t ~gen ~row patches =
       for m = t.n - 1 downto 0 do
         if not (live t m ~row) then deads := m :: !deads
       done;
-      if List.length !deads > 1 then Some (Device.Io_error (t.name ^ ": multiple members lost"))
+      if List.length !deads > 1 then Some (lost t)
       else begin
         let p_live = live t p ~row in
         let all_full =
@@ -574,28 +560,29 @@ let commit_row5_locked t ~gen ~row patches =
           done;
           !ok
         in
-        let covered_live = ref true in
-        for j = 0 to nd - 1 do
-          if covered j && not (live t (data_member t row j) ~row) then covered_live := false
-        done;
         let apply base j = List.iter (fun (coff, plen, src, soff) -> Bytes.blit src soff base coff plen) cov.(j) in
         let finish writes =
           let seq = journal_add t writes in
           let rs = List.map (fun (m, o, b) -> (m, Io.write_req ~class_:`Sync_write ~off:o b)) writes in
           batch_await t rs;
-          let werr = ref None in
-          List.iter
-            (fun (_, (r : Io.req)) -> if !werr = None && r.Io.error <> None then werr := r.Io.error)
-            rs;
+          let failed = List.exists (fun (_, (r : Io.req)) -> r.Io.error <> None) rs in
           journal_del t ~gen seq;
-          match !werr with
-          | None -> None
-          | Some _ ->
-              if t.gen <> gen then begin
-                crashed_park ();
-                None
-              end
-              else attempt (tries + 1)
+          if failed then retry () else None
+        in
+        (* Read the whole old chunks of the data positions [want] and of
+           the parity, then hand [k] the buffer of each member read. *)
+        let read_phase want k =
+          let targets =
+            List.filter_map
+              (fun j ->
+                if want j then Some (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ())
+                else None)
+              (List.init nd Fun.id)
+            @ [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ]
+          in
+          batch_await t targets;
+          if List.exists (fun (_, (r : Io.req)) -> r.Io.error <> None) targets then retry ()
+          else k (fun m -> (List.assoc m targets).Io.buf)
         in
         if all_full then begin
           (* Full-stripe write: parity from the new data alone, no
@@ -618,7 +605,7 @@ let commit_row5_locked t ~gen ~row patches =
           if !deads <> [] then Metrics.incr t.inst.m_degraded_writes;
           finish !writes
         end
-        else if (not p_live) && !deads = [ p ] then begin
+        else if not p_live then begin
           (* Parity spindle is the (single) casualty: the row is plain
              striping until the rebuild restores it. *)
           let writes =
@@ -629,96 +616,41 @@ let commit_row5_locked t ~gen ~row patches =
           Metrics.incr t.inst.m_degraded_writes;
           finish writes
         end
-        else if !covered_live && p_live && !deads = [] then begin
+        else if !deads = [] then
           (* Healthy partial stripe: read-modify-write at chunk
              granularity. parity' = parity ⊕ old ⊕ new. *)
-          let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
-          for j = nd - 1 downto 0 do
-            if covered j then
-              targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
-          done;
-          batch_await t !targets;
-          let rerr = ref None in
-          List.iter
-            (fun (_, (r : Io.req)) -> if !rerr = None && r.Io.error <> None then rerr := r.Io.error)
-            !targets;
-          if !rerr <> None then
-            if t.gen <> gen then begin
-              crashed_park ();
-              None
-            end
-            else attempt (tries + 1)
-          else begin
-            let chunk_of m =
-              let _, r = List.find (fun (m', _) -> m' = m) !targets in
-              r.Io.buf
-            in
-            let parity = Bytes.copy (chunk_of p) in
-            let writes = ref [ (p, moff, parity) ] in
-            for j = nd - 1 downto 0 do
-              if covered j then begin
-                let m = data_member t row j in
-                let old = chunk_of m in
-                xor_into parity old;
-                let nw = Bytes.copy old in
-                apply nw j;
-                xor_into parity nw;
-                writes := (m, moff, nw) :: !writes
-              end
-            done;
-            Metrics.incr t.inst.m_rmw;
-            finish !writes
-          end
-        end
+          read_phase covered (fun chunk_of ->
+              let parity = Bytes.copy (chunk_of p) in
+              let writes = ref [ (p, moff, parity) ] in
+              for j = nd - 1 downto 0 do
+                if covered j then begin
+                  let m = data_member t row j in
+                  let old = chunk_of m in
+                  xor_into parity old;
+                  let nw = Bytes.copy old in
+                  apply nw j;
+                  xor_into parity nw;
+                  writes := (m, moff, nw) :: !writes
+                end
+              done;
+              Metrics.incr t.inst.m_rmw;
+              finish !writes)
         else begin
-          (* A written data chunk lives on the dead member (or died
-             mid-commit): reconstruct the whole old row from the
+          (* The single casualty is a data member (possibly one that
+             died mid-commit): reconstruct the whole old row from the
              survivors, patch it, recompute parity, and write the live
              pieces. The dead chunk's new contents survive encoded in
              parity — the log-and-continue of degraded writes. *)
-          let dead_j = ref (-1) in
-          (match !deads with
-          | [ d ] when d <> p ->
-              for j = 0 to nd - 1 do
-                if data_member t row j = d then dead_j := j
-              done
-          | _ -> ());
-          if (not p_live) && !deads <> [] then
-            (* parity and a data member both unreadable for this row *)
-            Some (Device.Io_error (t.name ^ ": multiple members lost"))
-          else begin
-            let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
-            for j = nd - 1 downto 0 do
-              if j <> !dead_j then
-                targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
-            done;
-            batch_await t !targets;
-            let rerr = ref None in
-            List.iter
-              (fun (_, (r : Io.req)) ->
-                if !rerr = None && r.Io.error <> None then rerr := r.Io.error)
-              !targets;
-            if !rerr <> None then
-              if t.gen <> gen then begin
-                crashed_park ();
-                None
-              end
-              else attempt (tries + 1)
-            else begin
-              let chunk_of m =
-                let _, r = List.find (fun (m', _) -> m' = m) !targets in
-                r.Io.buf
-              in
+          let dead = List.hd !deads in
+          read_phase
+            (fun j -> data_member t row j <> dead)
+            (fun chunk_of ->
               let old =
                 Array.init nd (fun j ->
-                    if j = !dead_j then begin
-                      let b = Bytes.copy (chunk_of p) in
-                      for j' = 0 to nd - 1 do
-                        if j' <> !dead_j then xor_into b (chunk_of (data_member t row j'))
-                      done;
-                      b
-                    end
-                    else Bytes.copy (chunk_of (data_member t row j)))
+                    let m = data_member t row j in
+                    if m = dead then
+                      Option.get (peer_xor t ~skip:dead ~len:t.chunk (fun m -> Some (chunk_of m)))
+                    else Bytes.copy (chunk_of m))
               in
               let parity = Bytes.make t.chunk '\000' in
               let writes = ref [] in
@@ -726,13 +658,12 @@ let commit_row5_locked t ~gen ~row patches =
                 let nw = old.(j) in
                 apply nw j;
                 xor_into parity nw;
-                if covered j && j <> !dead_j then writes := (data_member t row j, moff, nw) :: !writes
+                let m = data_member t row j in
+                if covered j && m <> dead then writes := (m, moff, nw) :: !writes
               done;
               writes := (p, moff, parity) :: !writes;
               Metrics.incr t.inst.m_degraded_writes;
-              finish !writes
-            end
-          end
+              finish !writes)
         end
       end
     end
@@ -763,12 +694,7 @@ let commit_row5 t ~gen ~row patches note_err =
           | Some e -> if !rerr = None then rerr := Some e
           | None -> ());
           decr rem;
-          if !rem = 0 then
-            match !rerr with
-            | None -> Io.complete r
-            | Some e ->
-                note_err e;
-                Io.fail r e)
+          if !rem = 0 then settle note_err r !rerr)
         fins
 
 let epoch5 t ~gen reqs =
@@ -784,13 +710,13 @@ let epoch5 t ~gen reqs =
   in
   List.iter
     (fun (r : Io.req) ->
-      match split5 t ~off:r.Io.off ~len:r.Io.len with
+      match split t ~off:r.Io.off ~len:r.Io.len with
       | [] -> Io.complete r
       | pieces ->
-          let rows = List.sort_uniq compare (List.map (fun (row, _, _, _, _) -> row) pieces) in
+          let rows = List.sort_uniq compare (List.map (fun (row, _, _, _) -> row) pieces) in
           let fin = (r, ref (List.length rows), ref None) in
           List.iter
-            (fun (row, j, coff, plen, loff) ->
+            (fun (row, j, loff, plen) ->
               let cell =
                 match Hashtbl.find_opt by_row row with
                 | Some l -> l
@@ -799,7 +725,7 @@ let epoch5 t ~gen reqs =
                     Hashtbl.replace by_row row l;
                     l
               in
-              cell := (j, coff, plen, r.Io.buf, loff - r.Io.off, fin) :: !cell)
+              cell := (j, loff mod t.chunk, plen, r.Io.buf, loff - r.Io.off, fin) :: !cell)
             pieces)
     writes;
   let rows =
@@ -821,85 +747,78 @@ let epoch5 t ~gen reqs =
   let rplan =
     List.filter_map
       (fun (r : Io.req) ->
-        match split5 t ~off:r.Io.off ~len:r.Io.len with
+        match split t ~off:r.Io.off ~len:r.Io.len with
         | [] ->
             Io.complete r;
             None
         | pieces ->
             let prepared =
               List.map
-                (fun (row, j, coff, plen, loff) ->
+                (fun (row, j, loff, plen) ->
                   let m = data_member t row j in
                   if live t m ~row then begin
                     let tw =
-                      Io.read_req ~class_:r.Io.class_ ~off:((row * t.chunk) + coff) ~len:plen ()
+                      Io.read_req ~class_:r.Io.class_ ~off:(member_off t row loff) ~len:plen ()
                     in
                     per_member.(m) <- Io.Req tw :: per_member.(m);
-                    `Direct (row, j, coff, plen, loff, m, tw)
+                    `Direct (row, j, loff, plen, m, tw)
                   end
-                  else `Recon (row, j, coff, plen, loff))
+                  else `Recon (row, j, loff, plen))
                 pieces
             in
             Some (r, prepared))
       reads
   in
-  Array.iteri
-    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-    per_member;
+  submit_batches t per_member;
   List.iter
     (fun (r, prepared) ->
       let rerr = ref None in
       let fill loff plen (bytes : Bytes.t) = Bytes.blit bytes 0 r.Io.buf (loff - r.Io.off) plen in
       List.iter
         (fun piece ->
-          let recon row j coff plen loff =
-            match reconstruct5 t ~gen ~row ~j ~coff ~plen with
+          let recon row j loff plen =
+            match reconstruct5 t ~gen ~row ~j ~loff ~plen with
             | Some bytes -> fill loff plen bytes
             | None ->
                 if !rerr = None then rerr := Some (Device.Io_error (t.name ^ ": unreadable range"))
           in
           match piece with
-          | `Direct (row, j, coff, plen, loff, m, (tw : Io.req)) -> (
+          | `Direct (row, j, loff, plen, m, (tw : Io.req)) -> (
               Ivar.read tw.Io.done_;
               match tw.Io.error with
               | None -> fill loff plen tw.Io.buf
               | Some _ ->
                   note_failure t m;
-                  recon row j coff plen loff)
-          | `Recon (row, j, coff, plen, loff) -> recon row j coff plen loff)
+                  recon row j loff plen)
+          | `Recon (row, j, loff, plen) -> recon row j loff plen)
         prepared;
-      match !rerr with
-      | None -> Io.complete r
-      | Some e ->
-          note_err e;
-          Io.fail r e)
+      settle note_err r !rerr)
     rplan;
   while !outstanding > 0 do
     Condition.wait join
   done;
   !epoch_err
 
-(* {1 Epoch driver for the redundant levels} *)
+(* {1 Submission}
 
-let run_items t epoch_fn items =
-  let gen = t.gen in
-  let rec go items =
-    if t.crashed || t.gen <> gen then crashed_park ()
-    else begin
-      match items with
-      | [] -> ()
-      | _ ->
-          let reqs, rest = cut_epoch [] items in
-          let err = epoch_fn t ~gen reqs in
-          (match rest with
-          | [] -> ()
-          | Io.Barrier b :: tail -> (
-              Ivar.fill b.done_ ();
-              match err with Some e -> abort_tail e tail | None -> go tail)
-          | Io.Req _ :: _ -> assert false)
-    end
-  in
-  go items
+   RAID-1 and RAID-5 epochs block on member I/O, row locks and row
+   commits, so each submission runs its epochs in one process of its
+   own, which parks for good once the array crashes under it. RAID-0
+   epochs never block, so they run in the submitter's context and
+   spawn nothing; a crash drops the queued member requests, and the
+   rest of the chain with them. *)
+
+let submit_items t items =
+  match t.lvl with
+  | Raid0 -> run_epochs (launch_epoch t) items
+  | Raid1 | Raid5 ->
+      let epoch = if t.lvl = Raid1 then epoch1 else epoch5 in
+      Engine.spawn t.eng ~name:(t.name ^ "-submit") (fun () ->
+          let gen = t.gen in
+          run_epochs
+            (fun reqs k ->
+              if t.crashed || t.gen <> gen then crashed_park () else k (epoch t ~gen reqs))
+            items)
 
 (* {1 Stable paths}
 
@@ -908,14 +827,12 @@ let run_items t epoch_fn items =
    the redundancy invariants intact (updating parity, mirroring). *)
 
 let stable_read1 t ~off ~len =
-  let rec pick m =
-    if m = t.n then raise (Device.Io_error (t.name ^ ": no live mirror"))
-    else if t.state.(m) = Active then m
-    else pick (m + 1)
-  in
-  t.members.(pick 0).Device.stable_read ~off ~len
+  match Array.find_index (fun s -> s = Active) t.state with
+  | Some m -> t.members.(m).Device.stable_read ~off ~len
+  | None -> raise (no_mirror t)
 
 let stable_write1 t ~off data =
+  if not (Array.mem Active t.state) then raise (no_mirror t);
   let len = Bytes.length data in
   Array.iteri
     (fun m _ ->
@@ -935,63 +852,45 @@ let stable_write1 t ~off data =
       | Failed -> ())
     t.members
 
-let stable_read5 t ~off ~len =
+(* The stable bytes of data position [j] of [row] over the logical
+   range [off, off+len): read directly, or rebuilt from its peers while
+   its member is down. *)
+let stable_data t ~row ~j ~off ~len =
+  let moff = member_off t row off in
+  let read m = if live t m ~row then Some (t.members.(m).Device.stable_read ~off:moff ~len) else None in
+  let m = data_member t row j in
+  match read m with
+  | Some b -> b
+  | None -> ( match peer_xor t ~skip:m ~len read with Some b -> b | None -> raise (lost t))
+
+let stable_read_striped t ~off ~len =
   let buf = Bytes.create len in
   List.iter
-    (fun (row, j, coff, plen, loff) ->
-      let m = data_member t row j in
-      let moff = (row * t.chunk) + coff in
-      let piece =
-        if live t m ~row then t.members.(m).Device.stable_read ~off:moff ~len:plen
-        else begin
-          let p = parity_member t row in
-          if not (live t p ~row) then raise (Device.Io_error (t.name ^ ": multiple members lost"));
-          let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-          for j' = 0 to t.n - 2 do
-            if j' <> j then begin
-              let m' = data_member t row j' in
-              if not (live t m' ~row) then
-                raise (Device.Io_error (t.name ^ ": multiple members lost"));
-              xor_into acc (t.members.(m').Device.stable_read ~off:moff ~len:plen)
-            end
-          done;
-          acc
-        end
-      in
-      Bytes.blit piece 0 buf (loff - off) plen)
-    (split5 t ~off ~len);
+    (fun (row, j, loff, plen) ->
+      Bytes.blit (stable_data t ~row ~j ~off:loff ~len:plen) 0 buf (loff - off) plen)
+    (split t ~off ~len);
   buf
 
-let stable_write5 t ~off data =
+let stable_write_striped t ~off data =
   List.iter
-    (fun (row, j, coff, plen, loff) ->
-      let m = data_member t row j and p = parity_member t row in
-      let moff = (row * t.chunk) + coff in
+    (fun (row, j, loff, plen) ->
+      let m = data_member t row j in
+      let moff = member_off t row loff in
       let piece = Bytes.sub data (loff - off) plen in
-      let m_live = live t m ~row and p_live = live t p ~row in
-      if p_live then begin
-        let old =
-          if m_live then t.members.(m).Device.stable_read ~off:moff ~len:plen
-          else begin
-            let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-            for j' = 0 to t.n - 2 do
-              if j' <> j then begin
-                let m' = data_member t row j' in
-                if not (live t m' ~row) then
-                  raise (Device.Io_error (t.name ^ ": multiple members lost"));
-                xor_into acc (t.members.(m').Device.stable_read ~off:moff ~len:plen)
-              end
-            done;
-            acc
+      let m_live = live t m ~row in
+      (match t.lvl with
+      | Raid5 ->
+          let p = parity_member t row in
+          if live t p ~row then begin
+            let parity = t.members.(p).Device.stable_read ~off:moff ~len:plen in
+            xor_into parity (stable_data t ~row ~j ~off:loff ~len:plen);
+            xor_into parity piece;
+            t.members.(p).Device.stable_write ~off:moff parity
           end
-        in
-        let parity = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-        xor_into parity old;
-        xor_into parity piece;
-        t.members.(p).Device.stable_write ~off:moff parity
-      end;
+          else if not m_live then raise (lost t)
+      | Raid0 | Raid1 -> ());
       if m_live then t.members.(m).Device.stable_write ~off:moff piece)
-    (split5 t ~off ~len:(Bytes.length data))
+    (split t ~off ~len:(Bytes.length data))
 
 (* {1 Crash / recover} *)
 
@@ -1039,13 +938,7 @@ let validate ~level ~chunk members =
   | Raid5 ->
       if Array.length members < 3 then invalid_arg "Stripe.create: raid5 needs at least 3 members"
 
-let all_stats members () =
-  Array.fold_left
-    (fun acc m -> Device.add_stats acc (m.Device.spindle_stats ()))
-    Device.zero_stats members
-
-let build_raid0 t =
-  let st = { chunk = t.chunk; members = t.members; capacity = t.capacity } in
+let build t =
   let check ~off ~len =
     if off < 0 || len < 0 || off + len > t.capacity then
       invalid_arg
@@ -1059,66 +952,7 @@ let build_raid0 t =
         | Io.Req r -> check ~off:r.Io.off ~len:r.Io.len
         | Io.Barrier _ -> ())
       items;
-    submit_epochs st items
-  in
-  let read ~off ~len =
-    check ~off ~len;
-    Io.blocking_read ~submit ~off ~len
-  in
-  let write ~off data =
-    check ~off ~len:(Bytes.length data);
-    Io.blocking_write ~submit ~class_:`Sync_write ~off data
-  in
-  let on_all f = Array.iter f st.members in
-  let stable_read ~off ~len =
-    check ~off ~len;
-    let buf = Bytes.create len in
-    List.iter
-      (fun (m, moff, loff, plen) ->
-        let piece = st.members.(m).Device.stable_read ~off:moff ~len:plen in
-        Bytes.blit piece 0 buf (loff - off) plen)
-      (split st ~off ~len);
-    buf
-  in
-  let stable_write ~off data =
-    let len = Bytes.length data in
-    check ~off ~len;
-    List.iter
-      (fun (m, moff, loff, plen) ->
-        st.members.(m).Device.stable_write ~off:moff (Bytes.sub data (loff - off) plen))
-      (split st ~off ~len)
-  in
-  {
-    Device.name = t.name;
-    capacity = t.capacity;
-    accelerated = (fun () -> Array.for_all (fun m -> m.Device.accelerated ()) t.members);
-    submit;
-    read;
-    write;
-    flush = (fun () -> on_all (fun m -> m.Device.flush ()));
-    crash = (fun () -> on_all (fun m -> m.Device.crash ()));
-    recover = (fun () -> on_all (fun m -> m.Device.recover ()));
-    spindle_stats = all_stats t.members;
-    stable_read;
-    stable_write;
-  }
-
-let build_redundant t =
-  let epoch_fn = match t.lvl with Raid1 -> epoch1 | Raid5 -> epoch5 | Raid0 -> assert false in
-  let check ~off ~len =
-    if off < 0 || len < 0 || off + len > t.capacity then
-      invalid_arg
-        (Printf.sprintf "%s: request [%d, %d) outside capacity %d" t.name off (off + len)
-           t.capacity)
-  in
-  let submit items =
-    List.iter
-      (fun item ->
-        match item with
-        | Io.Req r -> check ~off:r.Io.off ~len:r.Io.len
-        | Io.Barrier _ -> ())
-      items;
-    Engine.spawn t.eng ~name:(t.name ^ "-submit") (fun () -> run_items t epoch_fn items)
+    submit_items t items
   in
   let read ~off ~len =
     check ~off ~len;
@@ -1130,11 +964,11 @@ let build_redundant t =
   in
   let stable_read ~off ~len =
     check ~off ~len;
-    match t.lvl with Raid1 -> stable_read1 t ~off ~len | _ -> stable_read5 t ~off ~len
+    match t.lvl with Raid1 -> stable_read1 t ~off ~len | Raid0 | Raid5 -> stable_read_striped t ~off ~len
   in
   let stable_write ~off data =
     check ~off ~len:(Bytes.length data);
-    match t.lvl with Raid1 -> stable_write1 t ~off data | _ -> stable_write5 t ~off data
+    match t.lvl with Raid1 -> stable_write1 t ~off data | Raid0 | Raid5 -> stable_write_striped t ~off data
   in
   {
     Device.name = t.name;
@@ -1146,12 +980,16 @@ let build_redundant t =
     flush = (fun () -> Array.iter (fun m -> m.Device.flush ()) t.members);
     crash = (fun () -> do_crash t);
     recover = (fun () -> do_recover t);
-    spindle_stats = all_stats t.members;
+    spindle_stats =
+      (fun () ->
+        Array.fold_left
+          (fun acc m -> Device.add_stats acc (m.Device.spindle_stats ()))
+          Device.zero_stats t.members);
     stable_read;
     stable_write;
   }
 
-let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members =
+let create eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members =
   validate ~level ~chunk members;
   (* Raid0 keeps its historical zero-instrument footprint: its counters
      go to a throwaway registry so existing metric dumps are unchanged. *)
@@ -1168,7 +1006,7 @@ let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members
     | Raid1 -> member_cap
     | Raid5 -> member_cap * (n - 1)
   in
-  let t =
+  let core =
     {
       eng;
       name;
@@ -1177,7 +1015,6 @@ let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members
       members;
       n;
       state = Array.make n Active;
-      member_cap;
       rows = member_cap / chunk;
       capacity;
       inst = make_inst reg name;
@@ -1189,33 +1026,27 @@ let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members
       jseq = 0;
       journal = Hashtbl.create 61;
       rebuild_cursor = None;
-      dev = None;
     }
   in
-  let dev = match level with Raid0 -> build_raid0 t | Raid1 | Raid5 -> build_redundant t in
-  t.dev <- Some dev;
-  t
-
-let create eng ?name ?metrics ?level ~chunk members =
-  let t = create_array eng ?name ?metrics ?level ~chunk members in
-  match t.dev with Some d -> d | None -> assert false
+  { core; dev = build core }
 
 (* {1 Management} *)
 
-let device t = match t.dev with Some d -> d | None -> assert false
-let level t = t.lvl
-let member_state t m =
+let device t = t.dev
+let level t = t.core.lvl
+
+let member_state { core = t; _ } m =
   if m < 0 || m >= t.n then invalid_arg "Stripe.member_state: no such member";
   t.state.(m)
 
-let fail_member t m =
+let fail_member { core = t; _ } m =
   if m < 0 || m >= t.n then invalid_arg "Stripe.fail_member: no such member";
   if t.lvl = Raid0 then invalid_arg "Stripe.fail_member: raid0 has no redundancy";
   note_failure t m
 
-let rebuild_active t = t.rebuild_cursor <> None
+let rebuild_active t = t.core.rebuild_cursor <> None
 
-let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
+let rebuild ?(pace = Time.of_ms_f 1.0) { core = t; _ } ~member =
   if member < 0 || member >= t.n then invalid_arg "Stripe.rebuild: no such member";
   if t.lvl = Raid0 then invalid_arg "Stripe.rebuild: raid0 has no redundancy";
   if t.crashed then invalid_arg "Stripe.rebuild: array is crashed";
@@ -1251,6 +1082,7 @@ let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
               ~crashed:(fun () -> `Stop)
               (fun () ->
                 let moff = row * t.chunk in
+                let copy i = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
                 let content =
                   match t.lvl with
                   | Raid1 ->
@@ -1258,34 +1090,24 @@ let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
                       Array.iteri
                         (fun i s -> if !src = None && i <> member && s = Active then src := Some i)
                         t.state;
-                      (match !src with
-                      | None -> None
-                      | Some i ->
-                          (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                          let err, buf = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
-                          (match err with Some _ -> None | None -> Some buf))
+                      (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
+                      Option.bind !src copy
                   | Raid5 | Raid0 ->
                       (* XOR of every other member's chunk reconstructs this
                          one whether it held data or parity. *)
-                      let acc = Bytes.make t.chunk '\000' in
-                      let err = ref false in
-                      for i = 0 to t.n - 1 do
-                        if i <> member && not !err then begin
-                          (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                          let e, buf = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
-                          match e with Some _ -> err := true | None -> xor_into acc buf
-                        end
-                      done;
-                      if !err then None else Some acc
+                      (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
+                      peer_xor t ~skip:member ~len:t.chunk copy
                 in
                 match content with
                 | None -> `Abandon
                 | Some bytes -> (
+                    let w = Io.write_req ~class_:`Bg_drain ~off:moff bytes in
                     (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                    match mwrite t member ~class_:`Bg_drain ~off:moff bytes with
+                    batch_await t [ (member, w) ];
+                    match w.Io.error with
                     | Some _ ->
-                        (* the replacement itself errored; [mwrite] flipped
-                           it back to Failed *)
+                        (* the replacement itself errored; [batch_await]
+                           flipped it back to Failed *)
                         `Stop
                     | None ->
                         if t.gen = gen && t.state.(member) = Rebuilding then begin

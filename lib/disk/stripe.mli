@@ -1,6 +1,13 @@
-(** Level-parameterized array driver over [n] member devices: RAID-0
+(** One array driver over [n] member devices for three levels: RAID-0
     striping (the paper's "3 drive stripe set"), RAID-1 mirroring and
-    RAID-5 rotating parity, on the tagged-request/barrier core.
+    RAID-5 rotating parity, on the tagged-request/barrier core. The
+    levels share the chunk layout (RAID-0 is RAID-5 without the parity
+    member), the epoch loop between barriers, the device, the stable
+    paths and crash/recover. RAID-1 and RAID-5 epochs block on row
+    locks and member reads, so a submission runs them in a process of
+    its own; RAID-0 epochs never block and chain completions instead,
+    spawning nothing — the event stream the paper's tables were
+    measured on.
 
     {b RAID-0} cuts the logical byte space into fixed-size chunks dealt
     round-robin across members; a request spanning several chunks is
@@ -46,25 +53,6 @@ val level_name : level -> string
 type t
 (** Management handle for an array. *)
 
-val create_array :
-  Nfsg_sim.Engine.t ->
-  ?name:string ->
-  ?metrics:Nfsg_stats.Metrics.t ->
-  ?level:level ->
-  chunk:int ->
-  Device.t array ->
-  t
-(** [create_array eng ~chunk members] — [level] defaults to [Raid0].
-    Logical capacity is the member capacity rounded down to whole
-    chunks, times the member count (RAID-0), times one (RAID-1) or
-    times [n-1] (RAID-5). Counters register under the
-    ["raid.<name>"] namespace for the redundant levels.
-
-    Raises [Invalid_argument] on an empty member array, a chunk that
-    is not a positive multiple of the 512-byte sector, members with
-    differing capacities, or too few members for the level (RAID-1
-    needs 2, RAID-5 needs 3). *)
-
 val create :
   Nfsg_sim.Engine.t ->
   ?name:string ->
@@ -72,16 +60,23 @@ val create :
   ?level:level ->
   chunk:int ->
   Device.t array ->
-  Device.t
-(** [create_array] for callers that only want the device. *)
+  t
+(** [create eng ~chunk members] — [level] defaults to [Raid0].
+    Logical capacity is the member capacity rounded down to whole
+    chunks, times the member count (RAID-0), times one (RAID-1) or
+    times [n-1] (RAID-5). Counters register under the
+    ["raid.<name>"] namespace for the redundant levels; RAID-0 keeps
+    its counters in a registry of its own, so [metrics] is unused.
+
+    Raises [Invalid_argument] on an empty member array, a chunk that
+    is not a positive multiple of the 512-byte sector, members with
+    differing capacities, or too few members for the level (RAID-1
+    needs 2, RAID-5 needs 3). *)
 
 val device : t -> Device.t
 val level : t -> level
 
 val member_state : t -> int -> member_state
-
-val degraded : t -> bool
-(** True while any member is not [Active]. *)
 
 val fail_member : t -> int -> unit
 (** Administratively fail-stop a member (as a fault injector's

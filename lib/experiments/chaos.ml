@@ -117,7 +117,7 @@ let run ?metrics cfg =
               members
           in
           let arr =
-            Stripe.create_array env.eng ~name:"array" ~metrics ~level ~chunk:32768
+            Stripe.create env.eng ~name:"array" ~metrics ~level ~chunk:32768
               (Array.map snd wrapped)
           in
           (Stripe.device arr, members, Array.map fst wrapped, Some arr)

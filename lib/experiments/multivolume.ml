@@ -68,7 +68,7 @@ let run_world ?fault cfg =
     injector := Some inj;
     let d1 = mk_disk "vol2-rz26" in
     let stripe = Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i)) in
-    let dev2 = Stripe.create env.eng ~chunk:32768 stripe in
+    let dev2 = Stripe.device (Stripe.create env.eng ~chunk:32768 stripe) in
     { Rig.raw = Array.append [| d0; d1 |] stripe; exports = [ dev0; d1; dev2 ] }
   in
   let rig =

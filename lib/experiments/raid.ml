@@ -92,7 +92,7 @@ let run_variant cfg v =
             (Disk.rz26 ~capacity:cfg.member_capacity ()))
     in
     let arr =
-      Stripe.create_array env.eng ~name:"array" ~metrics:env.metrics ~level:v.level
+      Stripe.create env.eng ~name:"array" ~metrics:env.metrics ~level:v.level
         ~chunk:cfg.chunk members
     in
     array := Some arr;

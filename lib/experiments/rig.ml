@@ -34,7 +34,7 @@ type spec = {
   cache_blocks : int option;
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
   disk_scheduler : Disk.scheduler;
-  raid_level : Stripe.level option;
+  raid_level : Stripe.level;
   costs : Nfsg_core.Cpu_model.t option;
   long_op_threshold : Time.t option;
   monitor_interval : Time.t option;
@@ -53,7 +53,7 @@ let default_spec =
     cache_blocks = None;
     readahead = None;
     disk_scheduler = Disk.Fifo;
-    raid_level = None;
+    raid_level = Stripe.Raid0;
     costs = None;
     long_op_threshold = None;
     monitor_interval = None;
@@ -90,9 +90,8 @@ let default_storage spec (env : env) =
   let base =
     if spec.spindles = 1 then disks.(0)
     else
-      match spec.raid_level with
-      | None -> Stripe.create env.eng ~chunk:32768 disks
-      | Some level -> Stripe.create env.eng ~metrics:env.metrics ~level ~chunk:32768 disks
+      Stripe.device
+        (Stripe.create env.eng ~metrics:env.metrics ~level:spec.raid_level ~chunk:32768 disks)
   in
   let device =
     if spec.accel then

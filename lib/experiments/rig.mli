@@ -35,12 +35,12 @@ type spec = {
       (** sequential prefetch policy armed in every volume's buffer
           cache; [None] = read-ahead off (the historical behaviour) *)
   disk_scheduler : Nfsg_disk.Disk.scheduler;  (** I/O scheduling policy of every spindle *)
-  raid_level : Nfsg_disk.Stripe.level option;
-      (** redundancy of a multi-spindle stack: [None] is the plain
-          RAID-0 stripe set of the paper's Tables 5-6; [Some l] builds
-          a RAID-1 or RAID-5 array (with its own metrics) instead. The
-          level must fit [spindles] (RAID-1 needs 2 members, RAID-5
-          needs 3); ignored with one spindle *)
+  raid_level : Nfsg_disk.Stripe.level;
+      (** array level of a multi-spindle stack: [Raid0] (the default)
+          is the plain stripe set of the paper's Tables 5-6; [Raid1]
+          and [Raid5] build a redundant array with its own metrics
+          instead. The level must fit [spindles] (RAID-1 needs 2
+          members, RAID-5 needs 3); ignored with one spindle *)
   costs : Nfsg_core.Cpu_model.t option;
       (** server CPU costs; [None] is the calibrated {!Calib.cpu_costs}
           of [net] *)

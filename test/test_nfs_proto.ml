@@ -146,7 +146,8 @@ let prop_write_args_roundtrip =
 (* {1 Decoder mutation fuzzing}
 
    Valid frames — every sample argument body inside an RPC call, every
-   sample result body inside an RPC reply, and the bare bodies — are
+   sample result body inside an RPC reply, MOUNT calls and replies, and
+   the bare bodies — are
    damaged by bit flips, truncation and a word overwritten with
    0xFFFFFFFF (the largest XDR length), then fed to every decoder. A
    decoder may reject its input only with the two XDR errors, which
@@ -155,24 +156,34 @@ let prop_write_args_roundtrip =
 
 module Rpc = Nfsg_rpc.Rpc
 
+(* Which protocol's decoders a seed frame goes through. *)
+type family = Nfs of int | Mount
+
+let print_family = function Nfs proc -> Printf.sprintf "proc %d" proc | Mount -> "mount"
+
 (* Seed frames come from the one encode path; the bare bodies are the
    frames minus their headers. *)
 let seed_frames =
+  let call fam frame = [ (fam, frame); (fam, Xdr.view_copy (Rpc.decode_call frame).Rpc.body) ]
+  and reply fam frame = [ (fam, frame); (fam, Xdr.view_copy (Rpc.decode_reply frame).Rpc.rbody) ] in
   let calls =
     List.mapi
-      (fun i args ->
-        let proc = Proto.proc_of_args args in
-        let frame = Testbed.call_frame ~xid:i args in
-        [ (proc, frame); (proc, Xdr.view_copy (Rpc.decode_call frame).Rpc.body) ])
+      (fun i args -> call (Nfs (Proto.proc_of_args args)) (Testbed.call_frame ~xid:i args))
       sample_args
   and replies =
-    List.mapi
-      (fun i (proc, res) ->
-        let frame = Testbed.reply_frame ~xid:i res in
-        [ (proc, frame); (proc, Xdr.view_copy (Rpc.decode_reply frame).Rpc.rbody) ])
-      sample_res
+    List.mapi (fun i (proc, res) -> reply (Nfs proc) (Testbed.reply_frame ~xid:i res)) sample_res
+  and mounts =
+    List.map
+      (fun name ->
+        call Mount
+          (Rpc.frame_call (Proto.mnt_args_body name) ~xid:1 ~prog:Rpc.mount_program
+             ~vers:Rpc.nfs_version ~proc:Proto.proc_mnt))
+      [ ""; "/export/home" ]
+    @ List.map
+        (fun res -> reply Mount (Rpc.frame_reply (Proto.mnt_res_body res) ~xid:2 Rpc.Success))
+        [ Ok (fh 1 1, false); Ok (fh 2 7, true); Error Proto.NFSERR_NOENT ]
   in
-  Array.of_list (List.concat (calls @ replies))
+  Array.of_list (List.concat (calls @ replies @ mounts))
 
 type mutation = Flip of int | Truncate of int | Max_word of int
 
@@ -215,22 +226,30 @@ let arb_damaged_frame =
 
 (* Every decoder the server or a client runs on a datagram, plus the
    argument and result decoders straight on the bytes. *)
-let decoders ~proc b =
+let decoders fam b =
   let view = Xdr.view_of_bytes b in
+  let args, res =
+    match fam with
+    | Nfs proc ->
+        ((fun v -> ignore (Proto.decode_args ~proc v)), fun v -> ignore (Proto.decode_res ~proc v))
+    | Mount -> ((fun v -> ignore (Proto.decode_mnt_args v)), fun v -> ignore (Proto.decode_mnt_res v))
+  in
   [
-    ("decode_call", fun () -> ignore (Proto.decode_args ~proc (Rpc.decode_call b).Rpc.body));
-    ("decode_reply", fun () -> ignore (Proto.decode_res ~proc (Rpc.decode_reply b).Rpc.rbody));
-    ("decode_args", fun () -> ignore (Proto.decode_args ~proc view));
-    ("decode_res", fun () -> ignore (Proto.decode_res ~proc view));
+    ("decode_call", fun () -> args (Rpc.decode_call b).Rpc.body);
+    ("decode_reply", fun () -> res (Rpc.decode_reply b).Rpc.rbody);
+    ("decode_args", fun () -> args view);
+    ("decode_res", fun () -> res view);
   ]
 
-let only_xdr_errors_escape ~proc b =
+let only_xdr_errors_escape fam b =
   List.iter
     (fun (name, decode) ->
       try decode () with
       | Xdr.Decode_error _ | Xdr.Dec.Error _ -> ()
-      | e -> QCheck.Test.fail_reportf "%s (proc %d) raised %s" name proc (Printexc.to_string e))
-    (decoders ~proc b);
+      | e ->
+          QCheck.Test.fail_reportf "%s (%s) raised %s" name (print_family fam)
+            (Printexc.to_string e))
+    (decoders fam b);
   match Rpc.peek_call b with
   | Some _ | None -> ()
   | exception e -> QCheck.Test.fail_reportf "peek_call raised %s" (Printexc.to_string e)
@@ -238,8 +257,8 @@ let only_xdr_errors_escape ~proc b =
 let prop_damaged_frames_rejected_cleanly =
   QCheck.Test.make ~name:"damaged frames raise only XDR errors" ~count:2000 arb_damaged_frame
     (fun (i, mutations) ->
-      let proc, frame = seed_frames.(i) in
-      only_xdr_errors_escape ~proc (List.fold_left apply_mutation frame mutations);
+      let fam, frame = seed_frames.(i) in
+      only_xdr_errors_escape fam (List.fold_left apply_mutation frame mutations);
       true)
 
 (* {1 One-pass framing against the two-pass reference}

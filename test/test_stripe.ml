@@ -6,7 +6,7 @@ let geometry = { (Disk.rz26 ~capacity:(8 * 1024 * 1024) ()) with Disk.track_byte
 let make n chunk =
   let eng = Engine.create () in
   let members = Array.init n (fun i -> Disk.create eng ~name:(Printf.sprintf "rz26-%d" i) geometry) in
-  let dev = Stripe.create eng ~chunk members in
+  let dev = Stripe.device (Stripe.create eng ~chunk members) in
   (eng, members, dev)
 
 let in_proc eng f =
@@ -105,7 +105,7 @@ let make_lvl ?(n = 3) ?(cap = 2 * 1024 * 1024) level chunk =
   let g = { (Disk.rz26 ~capacity:cap ()) with Disk.track_bytes = 256 * 1024 } in
   let members = Array.init n (fun i -> Disk.create eng ~name:(Printf.sprintf "rz26-%d" i) g) in
   let metrics = Nfsg_stats.Metrics.create () in
-  let arr = Stripe.create_array eng ~metrics ~level ~chunk members in
+  let arr = Stripe.create eng ~metrics ~level ~chunk members in
   (eng, members, arr, metrics)
 
 let cval metrics name =
@@ -170,7 +170,7 @@ let test_raid1_degraded_and_rebuild () =
   in_proc eng (fun () ->
       dev.Device.write ~off:0 d1;
       Stripe.fail_member arr 0;
-      Alcotest.(check bool) "degraded" true (Stripe.degraded arr);
+      Alcotest.(check bool) "degraded" true (Stripe.member_state arr 0 = Stripe.Failed);
       (* reads fall over to the survivor, writes continue *)
       Alcotest.(check bytes) "degraded read" d1 (dev.Device.read ~off:0 ~len:30_000);
       dev.Device.write ~off:65_536 d2;
@@ -255,6 +255,121 @@ let test_raid5_stable_paths_degraded () =
   Alcotest.(check bytes) "degraded stable write readback" d2
     (dev.Device.stable_read ~off:300_000 ~len:20_000)
 
+(* {1 Lost redundancy}
+
+   A stable write that has nowhere left to put a piece must say so, as
+   the matching stable read does, instead of dropping it. *)
+
+let test_raid5_stable_write_double_loss () =
+  let _, _, arr, _ = make_lvl Stripe.Raid5 8192 ~n:3 in
+  Stripe.fail_member arr 0;
+  Stripe.fail_member arr 1;
+  (* offset 16384 is row 1, data position 0: member 0, parity on member 1 *)
+  let lost = Device.Io_error "stripe: multiple members lost" in
+  Alcotest.check_raises "stable read" lost (fun () ->
+      ignore ((Stripe.device arr).Device.stable_read ~off:16384 ~len:512));
+  Alcotest.check_raises "stable write" lost (fun () ->
+      (Stripe.device arr).Device.stable_write ~off:16384 (Bytes.make 512 'x'))
+
+let test_raid1_stable_write_no_mirror () =
+  let _, _, arr, _ = make_lvl Stripe.Raid1 8192 ~n:2 in
+  Stripe.fail_member arr 0;
+  Stripe.fail_member arr 1;
+  let lost = Device.Io_error "stripe: no live mirror" in
+  Alcotest.check_raises "stable read" lost (fun () ->
+      ignore ((Stripe.device arr).Device.stable_read ~off:0 ~len:512));
+  Alcotest.check_raises "stable write" lost (fun () ->
+      (Stripe.device arr).Device.stable_write ~off:0 (Bytes.make 512 'x'))
+
+(* {1 Layout properties} *)
+
+(* The RAID-0 mapping as the original stripe-set driver computed it:
+   chunk [i] of the logical space is chunk [i / n] of member [i mod n]. *)
+let reference_locate ~n ~chunk off =
+  let chunk_idx = off / chunk in
+  (chunk_idx mod n, (chunk_idx / n * chunk) + (off mod chunk))
+
+let member_cap = 256 * 1024
+
+let small_array ?(n = 3) level chunk =
+  let eng = Engine.create () in
+  let g = { (Disk.rz26 ~capacity:member_cap ()) with Disk.track_bytes = 64 * 1024 } in
+  let members = Array.init n (fun i -> Disk.create eng ~name:(Printf.sprintf "m%d" i) g) in
+  (eng, members, Stripe.create eng ~level ~chunk members)
+
+let arb_raid0_write =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 4 and* chunk = oneofl [ 512; 4096; 8192 ] and* seed = int_bound 255 in
+    let cap = n * member_cap in
+    let* off = int_bound (cap - 1) in
+    let* len = int_range 1 (Stdlib.min 40_000 (cap - off)) in
+    return (n, chunk, off, len, seed)
+  in
+  QCheck.make
+    ~print:(fun (n, chunk, off, len, seed) ->
+      Printf.sprintf "n=%d chunk=%d off=%d len=%d seed=%d" n chunk off len seed)
+    gen
+
+let prop_raid0_layout =
+  QCheck.Test.make ~name:"raid0 pieces land where the stripe-set formula puts them" ~count:150
+    arb_raid0_write (fun (n, chunk, off, len, seed) ->
+      let eng, members, arr = small_array ~n Stripe.Raid0 chunk in
+      let dev = Stripe.device arr in
+      let data = pattern len seed in
+      in_proc eng (fun () -> dev.Device.write ~off data);
+      for i = 0 to len - 1 do
+        let m, moff = reference_locate ~n ~chunk (off + i) in
+        let got = Bytes.get (members.(m).Device.stable_read ~off:moff ~len:1) 0 in
+        if got <> Bytes.get data i then
+          QCheck.Test.fail_reportf "byte %d: member %d offset %d holds %C, want %C" (off + i) m
+            moff got (Bytes.get data i)
+      done;
+      Bytes.equal data (dev.Device.stable_read ~off ~len))
+
+(* Stable writes and reads against a flat byte model of the logical
+   space; a RAID-5 member may fail half way through the sequence. *)
+let arb_stable_ops =
+  let open QCheck.Gen in
+  let gen =
+    let* level = oneofl [ Stripe.Raid0; Stripe.Raid5 ] and* chunk = oneofl [ 512; 4096 ] in
+    let cap = match level with Stripe.Raid5 -> 2 * member_cap | _ -> 3 * member_cap in
+    let range =
+      let* off = int_bound (cap - 1) in
+      let* len = int_range 1 (Stdlib.min 20_000 (cap - off)) in
+      return (off, len)
+    in
+    let* fail =
+      match level with Stripe.Raid5 -> opt (int_bound 2) | _ -> return None
+    and* ops = list_size (int_range 1 12) (pair range (int_bound 255)) in
+    return (level, chunk, fail, ops)
+  in
+  QCheck.make
+    ~print:(fun (level, chunk, fail, ops) ->
+      Printf.sprintf "%s chunk=%d fail=%s [%s]" (Stripe.level_name level) chunk
+        (match fail with Some m -> string_of_int m | None -> "-")
+        (String.concat "; "
+           (List.map (fun ((off, len), seed) -> Printf.sprintf "%d+%d#%d" off len seed) ops)))
+    gen
+
+let prop_stable_roundtrip =
+  QCheck.Test.make ~name:"stable writes and reads match a flat model" ~count:150 arb_stable_ops
+    (fun (level, chunk, fail, ops) ->
+      let _, _, arr = small_array level chunk in
+      let dev = Stripe.device arr in
+      let model = Bytes.make dev.Device.capacity '\000' in
+      let half = List.length ops / 2 in
+      List.iteri
+        (fun i ((off, len), seed) ->
+          (match fail with Some m when i = half -> Stripe.fail_member arr m | _ -> ());
+          let data = pattern len seed in
+          dev.Device.stable_write ~off data;
+          Bytes.blit data 0 model off len;
+          if not (Bytes.equal data (dev.Device.stable_read ~off ~len)) then
+            QCheck.Test.fail_reportf "write %d does not read back" i)
+        ops;
+      Bytes.equal model (dev.Device.stable_read ~off:0 ~len:dev.Device.capacity))
+
 let suite =
   [
     Alcotest.test_case "capacity is sum of members" `Quick test_capacity;
@@ -272,4 +387,10 @@ let suite =
     Alcotest.test_case "raid5 counts full-stripe vs rmw" `Quick test_raid5_full_stripe_vs_rmw;
     Alcotest.test_case "raid5 degraded service and rebuild" `Quick test_raid5_degraded_and_rebuild;
     Alcotest.test_case "raid5 stable paths work degraded" `Quick test_raid5_stable_paths_degraded;
+    Alcotest.test_case "raid5 stable write with data and parity lost raises" `Quick
+      test_raid5_stable_write_double_loss;
+    Alcotest.test_case "raid1 stable write with every mirror lost raises" `Quick
+      test_raid1_stable_write_no_mirror;
+    QCheck_alcotest.to_alcotest prop_raid0_layout;
+    QCheck_alcotest.to_alcotest prop_stable_roundtrip;
   ]
