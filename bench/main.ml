@@ -260,8 +260,8 @@ let micro_tests () =
            let segment = Nfsg_net.Segment.create eng Nfsg_net.Segment.fddi in
            let disk = Nfsg_disk.Disk.create eng (Nfsg_disk.Disk.rz26 ~capacity:(8 * 1024 * 1024) ()) in
            let server =
-             Nfsg_core.Server.make eng ~segment ~addr:"server" ~device:disk
-               Nfsg_core.Server.default_config
+             Nfsg_core.Server.make eng ~segment ~addr:"server" Nfsg_core.Server.default_config
+               [ Nfsg_core.Volume.spec "/export" disk ]
            in
            let sock = Nfsg_net.Socket.create segment ~addr:"client" () in
            let rpc = Nfsg_rpc.Rpc_client.create eng ~sock ~server:"server" () in

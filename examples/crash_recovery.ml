@@ -14,6 +14,7 @@ module Nvram = Nfsg_disk.Nvram
 module Segment = Nfsg_net.Segment
 module Socket = Nfsg_net.Socket
 module Server = Nfsg_core.Server
+module Volume = Nfsg_core.Volume
 module Client = Nfsg_nfs.Client
 module Rpc_client = Nfsg_rpc.Rpc_client
 module Fs = Nfsg_ufs.Fs
@@ -23,7 +24,9 @@ let scenario ~accel =
   let segment = Segment.create eng Segment.fddi in
   let disk = Disk.create eng (Disk.rz26 ()) in
   let device = if accel then Nvram.create eng disk else disk in
-  let server = Server.make eng ~segment ~addr:"server" ~device Server.default_config in
+  let server =
+    Server.make eng ~segment ~addr:"server" Server.default_config [ Volume.spec "/export" device ]
+  in
   let sock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock ~server:"server" () in
   let client = Client.create eng ~rpc ~biods:8 () in

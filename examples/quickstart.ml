@@ -9,6 +9,7 @@ module Disk = Nfsg_disk.Disk
 module Segment = Nfsg_net.Segment
 module Socket = Nfsg_net.Socket
 module Server = Nfsg_core.Server
+module Volume = Nfsg_core.Volume
 module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
 module Rpc_client = Nfsg_rpc.Rpc_client
@@ -22,7 +23,9 @@ let () =
   let disk = Disk.create eng (Disk.rz26 ()) in
 
   (* The NFS server: 8 nfsds, write gathering on (the default). *)
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk Server.default_config in
+  let server =
+    Server.make eng ~segment ~addr:"server" Server.default_config [ Volume.spec "/export" disk ]
+  in
 
   (* A client host with 7 biods — the paper's sweet spot. *)
   let sock = Socket.create segment ~addr:"client" () in

@@ -13,8 +13,6 @@ type config = {
   costs : Cpu_model.t;
   dupcache : bool;
   rcvbuf : int;
-  cache_blocks : int option;
-  readahead : Nfsg_ufs.Buffer_cache.readahead option;
   long_op_threshold : Time.t option;
 }
 
@@ -25,8 +23,6 @@ let default_config =
     costs = Cpu_model.default;
     dupcache = true;
     rcvbuf = 256 * 1024;
-    cache_blocks = None;
-    readahead = None;
     long_op_threshold = None;
   }
 
@@ -36,7 +32,6 @@ type t = {
   config : config;
   addr : string;
   volumes : Volume.t list;  (** export table, fsid order *)
-  legacy_ns : bool;
   sock : Nfsg_net.Socket.t;
   cpu : Resource.t;
   verf : int;
@@ -57,26 +52,16 @@ type t = {
 }
 
 let volumes t = t.volumes
-
-let volume t fsid =
-  match List.find_opt (fun v -> Volume.fsid v = fsid) t.volumes with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Server.volume: no volume with fsid %d" fsid)
-
 let first_volume t = List.hd t.volumes
 let exports t = List.map (fun v -> (Volume.export v, Volume.root_fh v)) t.volumes
 let root_fh t = Volume.root_fh (first_volume t)
 let fs t = Volume.fs (first_volume t)
 let cpu t = t.cpu
-let device t = Volume.device (first_volume t)
 let write_layer t = Volume.write_layer (first_volume t)
 let socket t = t.sock
-let addr t = t.addr
 let write_verifier t = t.verf
 let dupcache t = t.dupcache
 let op_count t proc = Option.value ~default:0 (Hashtbl.find_opt t.op_counts proc)
-(* nfslint: allow D002 integer addition is commutative; the fold's result is order-independent *)
-let total_ops t = Hashtbl.fold (fun _ n acc -> acc + n) t.op_counts 0
 let metrics t = t.metrics
 let journeys t = t.journeys
 
@@ -91,8 +76,8 @@ let count_op t proc =
     (Nfsg_stats.Metrics.counter t.metrics ~ns:Nfsg_stats.Names.Ns.server
        (Nfsg_stats.Names.ops (Proto.proc_name proc)))
 
-(* Per-volume op accounting, once dispatch has routed the request. The
-   legacy single-volume server's namespace IS "server", so only the
+(* Per-volume op accounting, once dispatch has routed the request. A
+   one-volume server's volume namespace IS "server", so only the
    vol<k> namespaces add a second counter. *)
 let count_vol_op t vol proc =
   let ns = Volume.server_ns vol in
@@ -132,7 +117,6 @@ let vnode_in vol (fh : Proto.fh) =
   let fs = Volume.fs vol in
   Vfs.vnode_of_inode fs (Fs.iget fs ~inum:fh.Proto.inum ~gen:fh.Proto.gen)
 
-
 let fh_of_vnode vol v =
   {
     Proto.fsid = Volume.fsid vol;
@@ -141,30 +125,7 @@ let fh_of_vnode vol v =
     gen = Fs.generation (Vfs.inode_of v);
   }
 
-let fattr_of_vnode vol v =
-  let a = Vfs.vop_getattr v in
-  let bsize = Fs.bsize (Volume.fs vol) in
-  {
-    Proto.ftype =
-      (match a.Fs.ftype with
-      | Layout.Regular -> Proto.NFREG
-      | Layout.Directory -> Proto.NFDIR
-      | Layout.Symlink -> Proto.NFLNK
-      | Layout.Free -> Proto.NFNON);
-    mode = 0o644;
-    nlink = a.Fs.nlink;
-    uid = 0;
-    gid = 0;
-    size = a.Fs.size;
-    blocksize = bsize;
-    rdev = 0;
-    blocks = (a.Fs.size + bsize - 1) / bsize;
-    fsid = Volume.fsid vol;
-    fileid = a.Fs.inum;
-    atime = Proto.timeval_of_ns a.Fs.atime;
-    mtime = Proto.timeval_of_ns a.Fs.mtime;
-    ctime = Proto.timeval_of_ns a.Fs.ctime;
-  }
+let fattr vol v = Write_layer.fattr (Volume.write_layer vol) v
 
 (* Map filesystem exceptions onto NFS statuses. *)
 let status_of_exn = function
@@ -205,16 +166,14 @@ let mutates proc =
   || proc = Proto.proc_rename || proc = Proto.proc_mkdir || proc = Proto.proc_rmdir
   || proc = Proto.proc_symlink
 
-let execute t vol (args : Proto.args) : Proto.res =
-  ignore t;
-  let vn fh = vnode_in vol fh in
-  let attr_res v = Proto.RAttr (Ok (fattr_of_vnode vol v)) in
-  let dirop_res v = Proto.RDirop (Ok (fh_of_vnode vol v, fattr_of_vnode vol v)) in
+(* The synchronous procedures, on the vnode [v] their primary handle
+   resolved to. *)
+let execute vol v (args : Proto.args) : Proto.res =
+  let attr_res v = Proto.RAttr (Ok (fattr vol v)) in
+  let dirop_res v = Proto.RDirop (Ok (fh_of_vnode vol v, fattr vol v)) in
   match args with
-  | Proto.Null -> Proto.RNull
-  | Proto.Getattr fh -> attr_res (vn fh)
-  | Proto.Setattr (fh, sattr) ->
-      let v = vn fh in
+  | Proto.Getattr _ -> attr_res v
+  | Proto.Setattr (_, sattr) ->
       Vfs.with_lock v (fun () ->
           if sattr.Proto.s_size >= 0 then begin
             (* nfsrace: allow Y001 baseline synchronous semantics: truncate commits under the vnode lock before the reply *)
@@ -227,19 +186,15 @@ let execute t vol (args : Proto.args) : Proto.res =
           | Some tv -> Vfs.vop_touch v ~mtime:(Proto.ns_of_timeval tv)
           | None -> ());
       attr_res v
-  | Proto.Lookup (fh, name) ->
-      let dir = vn fh in
-      dirop_res (Vfs.vop_lookup dir name)
-  | Proto.Read _ | Proto.Write _ | Proto.Write3 _ | Proto.Commit _ ->
-      assert false (* handled by the write layer / read plane in dispatch *)
-  | Proto.Create { dir; name; sattr = _ } ->
-      let d = vn dir in
+  | Proto.Lookup (_, name) -> dirop_res (Vfs.vop_lookup v name)
+  | Proto.Null | Proto.Read _ | Proto.Write _ | Proto.Write3 _ | Proto.Commit _ ->
+      assert false (* answered by dispatch, the write layer or the read plane *)
+  | Proto.Create { name; _ } ->
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      dirop_res (Vfs.with_lock d (fun () -> Vfs.vop_create d name Layout.Regular))
-  | Proto.Remove { dir; name } ->
-      let d = vn dir in
+      dirop_res (Vfs.with_lock v (fun () -> Vfs.vop_create v name Layout.Regular))
+  | Proto.Remove { name; _ } ->
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      Vfs.with_lock d (fun () -> Vfs.vop_remove d name);
+      Vfs.with_lock v (fun () -> Vfs.vop_remove v name);
       Proto.RStatus Proto.NFS_OK
   | Proto.Rename { from_dir; from_name; to_dir; to_name } ->
       (* Rename never crosses volumes: distinct fsids are distinct
@@ -247,31 +202,23 @@ let execute t vol (args : Proto.args) : Proto.res =
       if to_dir.Proto.fsid <> from_dir.Proto.fsid || to_dir.Proto.vgen <> from_dir.Proto.vgen
       then Proto.RStatus Proto.NFSERR_XDEV
       else begin
-        let src = vn from_dir in
-        let dst = vn to_dir in
+        let dst = vnode_in vol to_dir in
         (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-        Vfs.with_lock src (fun () -> Vfs.vop_rename src ~src:from_name ~dst_dir:dst ~dst:to_name);
+        Vfs.with_lock v (fun () -> Vfs.vop_rename v ~src:from_name ~dst_dir:dst ~dst:to_name);
         Proto.RStatus Proto.NFS_OK
       end
-  | Proto.Mkdir { dir; name; sattr = _ } ->
-      let d = vn dir in
+  | Proto.Mkdir { name; _ } ->
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      dirop_res (Vfs.with_lock d (fun () -> Vfs.vop_mkdir d name))
-  | Proto.Rmdir { dir; name } ->
-      let d = vn dir in
+      dirop_res (Vfs.with_lock v (fun () -> Vfs.vop_mkdir v name))
+  | Proto.Rmdir { name; _ } ->
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      Vfs.with_lock d (fun () -> Vfs.vop_rmdir d name);
+      Vfs.with_lock v (fun () -> Vfs.vop_rmdir v name);
       Proto.RStatus Proto.NFS_OK
-  | Proto.Readlink fh ->
-      let v = vn fh in
-      Proto.RReadlink (Ok (Vfs.vop_readlink v))
-  | Proto.Symlink { dir; name; target; sattr = _ } ->
-      let d = vn dir in
+  | Proto.Readlink _ -> Proto.RReadlink (Ok (Vfs.vop_readlink v))
+  | Proto.Symlink { name; target; _ } ->
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      dirop_res (Vfs.with_lock d (fun () -> Vfs.vop_symlink d name ~target))
-  | Proto.Readdir { fh; cookie = _; count = _ } ->
-      let d = vn fh in
-      Proto.RReaddir (Ok (Vfs.vop_readdir d, true))
+      dirop_res (Vfs.with_lock v (fun () -> Vfs.vop_symlink v name ~target))
+  | Proto.Readdir _ -> Proto.RReaddir (Ok (Vfs.vop_readdir v, true))
   | Proto.Statfs _ ->
       let s = Fs.statfs (Volume.fs vol) in
       Proto.RStatfs
@@ -299,13 +246,37 @@ let error_res ~proc st : Proto.res =
   else Proto.RStatus st
 
 let empty_reply stat = Svc.Reply (stat, Rpc.reply_body ~size_hint:0 ())
+let encode t = Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode
+let reply res = Svc.Reply (Rpc.Success, Proto.res_body res)
 
-(* NFSERR_ROFS in the shape the proc's decoder expects, charged like
-   any other error reply. *)
-let rofs_reply t vol ~proc =
-  count_rofs_rejection t vol;
-  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-  Svc.Reply (Rpc.Success, Proto.res_body (error_res ~proc Proto.NFSERR_ROFS))
+(* A filesystem error, answered in the procedure's result shape and
+   charged like any other reply; anything else is a server fault. *)
+let fail t ~proc e =
+  match status_of_exn e with
+  | Some st ->
+      encode t;
+      reply (error_res ~proc st)
+  | None -> raise e
+
+(* The one filehandle path: the handle names a volume and a vnode on
+   it, or the request is answered with the resolution error. A
+   read-only export then bounces a mutating procedure; every other
+   request goes on to [k]. *)
+let resolve t ~proc fh k =
+  count_op t proc;
+  match
+    let vol = volume_of_fh t fh in
+    (vol, vnode_in vol fh)
+  with
+  | exception e -> fail t ~proc e
+  | vol, v ->
+      count_vol_op t vol proc;
+      if mutates proc && Volume.read_only vol then begin
+        count_rofs_rejection t vol;
+        encode t;
+        reply (error_res ~proc Proto.NFSERR_ROFS)
+      end
+      else k vol v
 
 (* The mini MOUNT service: export name in, root filehandle out. *)
 let dispatch_mount t (call : Rpc.call) =
@@ -319,204 +290,134 @@ let dispatch_mount t (call : Rpc.call) =
           | Some vol -> Ok (Volume.root_fh vol, Volume.read_only vol)
           | None -> Error Proto.NFSERR_NOENT
         in
-        Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
+        encode t;
         Svc.Reply (Rpc.Success, Proto.mnt_res_body res)
 
-let make_dispatch t =
-  fun tr (call : Rpc.call) ->
-    if call.Rpc.prog = Rpc.mount_program then dispatch_mount t call
-    else if call.Rpc.prog <> Rpc.nfs_program then empty_reply Rpc.Prog_unavail
-    else begin
-      Resource.use t.cpu (t.config.costs.Cpu_model.rpc_decode + t.config.costs.Cpu_model.op_base);
-      match Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body with
-      | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> empty_reply Rpc.Garbage_args
-      | decoded ->
-      (match Svc.journey_of tr with
-      | Some j ->
-          let payload =
-            match decoded with
-            | Proto.Write { data; _ } | Proto.Write3 { data; _ } -> Nfsg_rpc.Xdr.view_length data
-            | Proto.Read { count; _ } -> count
-            | _ -> 0
-          in
-          Nfsg_stats.Journey.set_op j ~proc:(Proto.proc_name call.Rpc.proc) ~bytes:payload
-      | None -> ());
-      match decoded with
-      | Proto.Write { fh; offset; data } -> (
-          count_op t Proto.proc_write;
-          match
-            let vol = volume_of_fh t fh in
-            (vol, vnode_in vol fh)
-          with
-          | vol, v ->
-              count_vol_op t vol Proto.proc_write;
-              if Volume.read_only vol then rofs_reply t vol ~proc:Proto.proc_write
-              else Write_layer.handle_write (Volume.write_layer vol) tr v ~off:offset ~data
-          | exception Fs.Stale _ ->
-              Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RAttr (Error Proto.NFSERR_STALE))))
-      | Proto.Write3 { fh; offset; stable; data } -> (
-          count_op t Proto.proc_write3;
-          match
-            let vol = volume_of_fh t fh in
-            (vol, vnode_in vol fh)
-          with
-          | exception Fs.Stale _ ->
-              Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_STALE)))
-          | vol, v -> (
-              count_vol_op t vol Proto.proc_write3;
-              if Volume.read_only vol then rofs_reply t vol ~proc:Proto.proc_write3
-              else
-              match stable with
-              | Proto.Unstable -> (
-                  (* The v3 asynchronous promise: data to the cache,
-                     reply immediately; durability comes at COMMIT. *)
-                  match
-                    Vfs.with_lock v (fun () ->
-                        Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-                        (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-                        Vfs.vop_write v ~off:offset data ~flags:[ Vfs.IO_DELAYDATA ])
-                  with
-                  | () ->
-                      (* The unstable write's journey ends at the cache:
-                         no gather wait, no disk — COMMIT pays those. *)
-                      jstamp t tr Nfsg_stats.Journey.stamp_queued;
-                      Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                      Svc.Reply
-                        ( Rpc.Success,
-                          Proto.res_body
-                            (Proto.RWrite3 (Ok (fattr_of_vnode vol v, Proto.Unstable, t.verf))) )
-                  | exception Fs.No_space ->
-                      Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                      Svc.Reply
-                        (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_NOSPC)))
-                  | exception Nfsg_disk.Device.Io_error _ ->
-                      Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                      Svc.Reply
-                        (Rpc.Success, Proto.res_body (Proto.RWrite3 (Error Proto.NFSERR_IO))))
-              | Proto.Data_sync | Proto.File_sync ->
-                  (* v2 semantics through the write layer: these writes
-                     gather in the same batches as v2 WRITEs. *)
-                  let respond a = Proto.RWrite3 (Ok (a, Proto.File_sync, t.verf)) in
-                  let fail st = Proto.RWrite3 (Error st) in
-                  Write_layer.handle_write (Volume.write_layer vol) tr ~respond ~fail v
-                    ~off:offset ~data))
-      | Proto.Commit { fh; offset; count } -> (
-          count_op t Proto.proc_commit;
-          match
-            let vol = volume_of_fh t fh in
-            (vol, vnode_in vol fh)
-          with
-          | exception Fs.Stale _ ->
-              Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.res_body (Proto.RCommit (Error Proto.NFSERR_STALE)))
-          | vol, v -> (
-              count_vol_op t vol Proto.proc_commit;
-              if Volume.read_only vol then rofs_reply t vol ~proc:Proto.proc_commit
-              else begin
-              jstamp t tr Nfsg_stats.Journey.stamp_queued;
-              match
-                Vfs.with_lock v (fun () ->
-                    Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-                    let len =
-                      if count = 0 then (Vfs.vop_getattr v).Fs.size - offset else count
-                    in
-                    jstamp t tr Nfsg_stats.Journey.stamp_disk_submit;
-                    (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-                    if len > 0 then Vfs.vop_syncdata v ~off:offset ~len;
-                    Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-                    (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-                    Vfs.vop_fsync v ~flags:[ Vfs.FWRITE; Vfs.FWRITE_METADATA ])
-              with
-              | () ->
-                  jstamp t tr Nfsg_stats.Journey.stamp_disk_complete;
-                  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply
-                    ( Rpc.Success,
-                      Proto.res_body (Proto.RCommit (Ok (fattr_of_vnode vol v, t.verf))) )
-              | exception Nfsg_disk.Device.Io_error _ ->
-                  (* The unstable data stays dirty in the cache; the
-                     client keeps it and re-COMMITs. *)
-                  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply
-                    (Rpc.Success, Proto.res_body (Proto.RCommit (Error Proto.NFSERR_IO)))
-              end))
-      | Proto.Read { fh; offset; count } -> (
-          count_op t Proto.proc_read;
-          match
-            let vol = volume_of_fh t fh in
-            (vol, vnode_in vol fh)
-          with
-          | exception e -> (
-              match status_of_exn e with
-              | Some st ->
-                  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply (Rpc.Success, Proto.res_body (Proto.RRead (Error st)))
-              | None -> raise e)
-          | vol, v -> (
-              count_vol_op t vol Proto.proc_read;
-              let cache = Fs.cache (Volume.fs vol) in
-              let misses0 = Nfsg_ufs.Buffer_cache.misses cache in
-              jstamp t tr Nfsg_stats.Journey.stamp_queued;
-              jstamp t tr Nfsg_stats.Journey.stamp_disk_submit;
-              let stream =
-                if Nfsg_ufs.Buffer_cache.readahead_active cache then
-                  stream_of t ~client:(Svc.client_of tr) ~inum:fh.Proto.inum
-                else 0
-              in
-              let body, head = Proto.read_reply () in
-              match Vfs.vop_read_ahead v ~stream ~off:offset ~len:count (Rpc.body_enc body) with
-              | () ->
-                  jstamp t tr Nfsg_stats.Journey.stamp_disk_complete;
-                  (* Hit iff no demand read waited: the cache's miss
-                     counter did not move while we were in the vop. *)
-                  (match Svc.journey_of tr with
-                  | Some j ->
-                      Nfsg_stats.Journey.set_cache_phase j
-                        ~hit:(Nfsg_ufs.Buffer_cache.misses cache = misses0)
-                  | None -> ());
-                  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  (* The attributes as of the reply, after the encode
-                     charge: the data is already in the frame. *)
-                  Proto.fill_read_ok head (fattr_of_vnode vol v);
-                  Svc.Reply (Rpc.Success, body)
-              | exception e -> (
-                  match status_of_exn e with
-                  | Some st ->
-                      Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                      Svc.Reply (Rpc.Success, Proto.res_body (Proto.RRead (Error st)))
-                  | None -> raise e)))
-      | args -> (
-          count_op t call.Rpc.proc;
-          match
-            match primary_fh args with
-            | None -> execute t (first_volume t) args
-            | Some fh ->
-                let vol = volume_of_fh t fh in
-                count_vol_op t vol call.Rpc.proc;
-                if mutates call.Rpc.proc && Volume.read_only vol then begin
-                  count_rofs_rejection t vol;
-                  error_res ~proc:call.Rpc.proc Proto.NFSERR_ROFS
-                end
-                else execute t vol args
-          with
-          | res ->
-              Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-              Svc.Reply (Rpc.Success, Proto.res_body res)
-          | exception e -> (
-              match status_of_exn e with
-              | Some st ->
-                  Resource.use t.cpu t.config.costs.Cpu_model.rpc_encode;
-                  Svc.Reply (Rpc.Success, Proto.res_body (error_res ~proc:call.Rpc.proc st))
-              | None -> raise e))
-    end
+(* One procedure on its resolved volume and vnode. WRITEs that gather
+   go to the volume's write layer, which replies itself; the rest reply
+   here. READ, COMMIT and the unstable WRITE3 take their attributes
+   after the encode charge, as of the reply. *)
+let serve t tr ~proc vol v (args : Proto.args) =
+  let costs = t.config.costs in
+  match args with
+  | Proto.Write { offset; data; _ } ->
+      Write_layer.handle_write (Volume.write_layer vol) tr v ~off:offset ~data
+  | Proto.Write3 { offset; data; stable = Proto.Data_sync | Proto.File_sync; _ } ->
+      (* v2 semantics through the write layer: these writes gather in
+         the same batches as v2 WRITEs. *)
+      let respond a = Proto.RWrite3 (Ok (a, Proto.File_sync, t.verf)) in
+      let fail st = Proto.RWrite3 (Error st) in
+      Write_layer.handle_write (Volume.write_layer vol) tr ~respond ~fail v ~off:offset ~data
+  | Proto.Write3 { offset; data; stable = Proto.Unstable; _ } -> (
+      (* The v3 asynchronous promise: data to the cache, reply
+         immediately; durability comes at COMMIT. *)
+      match
+        Vfs.with_lock v (fun () ->
+            Resource.use t.cpu costs.Cpu_model.ufs_trip;
+            (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
+            Vfs.vop_write v ~off:offset data ~flags:[ Vfs.IO_DELAYDATA ])
+      with
+      | () ->
+          (* The unstable write's journey ends at the cache: no gather
+             wait, no disk — COMMIT pays those. *)
+          jstamp t tr Nfsg_stats.Journey.stamp_queued;
+          encode t;
+          reply (Proto.RWrite3 (Ok (fattr vol v, Proto.Unstable, t.verf)))
+      | exception e -> fail t ~proc e)
+  | Proto.Commit { offset; count; _ } -> (
+      jstamp t tr Nfsg_stats.Journey.stamp_queued;
+      match
+        Vfs.with_lock v (fun () ->
+            Resource.use t.cpu costs.Cpu_model.ufs_trip;
+            let len = if count = 0 then (Vfs.vop_getattr v).Fs.size - offset else count in
+            jstamp t tr Nfsg_stats.Journey.stamp_disk_submit;
+            (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
+            if len > 0 then Vfs.vop_syncdata v ~off:offset ~len;
+            Resource.use t.cpu costs.Cpu_model.ufs_trip;
+            (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
+            Vfs.vop_fsync v ~flags:[ Vfs.FWRITE; Vfs.FWRITE_METADATA ])
+      with
+      | () ->
+          jstamp t tr Nfsg_stats.Journey.stamp_disk_complete;
+          encode t;
+          reply (Proto.RCommit (Ok (fattr vol v, t.verf)))
+      | exception e ->
+          (* The unstable data stays dirty in the cache; the client
+             keeps it and re-COMMITs. *)
+          fail t ~proc e)
+  | Proto.Read { fh; offset; count } -> (
+      let cache = Fs.cache (Volume.fs vol) in
+      let misses0 = Nfsg_ufs.Buffer_cache.misses cache in
+      jstamp t tr Nfsg_stats.Journey.stamp_queued;
+      jstamp t tr Nfsg_stats.Journey.stamp_disk_submit;
+      let stream =
+        if Nfsg_ufs.Buffer_cache.readahead_active cache then
+          stream_of t ~client:(Svc.client_of tr) ~inum:fh.Proto.inum
+        else 0
+      in
+      let body, head = Proto.read_reply () in
+      match Vfs.vop_read_ahead v ~stream ~off:offset ~len:count (Rpc.body_enc body) with
+      | () ->
+          jstamp t tr Nfsg_stats.Journey.stamp_disk_complete;
+          (* Hit iff no demand read waited: the cache's miss counter
+             did not move while we were in the vop. *)
+          (match Svc.journey_of tr with
+          | Some j ->
+              Nfsg_stats.Journey.set_cache_phase j
+                ~hit:(Nfsg_ufs.Buffer_cache.misses cache = misses0)
+          | None -> ());
+          encode t;
+          (* The data is already in the frame. *)
+          Proto.fill_read_ok head (fattr vol v);
+          Svc.Reply (Rpc.Success, body)
+      | exception e -> fail t ~proc e)
+  | args -> (
+      match execute vol v args with
+      | res ->
+          encode t;
+          reply res
+      | exception e -> fail t ~proc e)
 
-(* The assembly shared by the fresh-format and recovery paths.
-   [vols] carries, per export, its spec, the vgen to preserve (or
-   [None] for a fresh one) and whether to format; [verf] is the boot
-   count. *)
-let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vols =
+let make_dispatch t tr (call : Rpc.call) =
+  if call.Rpc.prog = Rpc.mount_program then dispatch_mount t call
+  else if call.Rpc.prog <> Rpc.nfs_program then empty_reply Rpc.Prog_unavail
+  else begin
+    Resource.use t.cpu (t.config.costs.Cpu_model.rpc_decode + t.config.costs.Cpu_model.op_base);
+    let proc = call.Rpc.proc in
+    match Proto.decode_args ~proc call.Rpc.body with
+    | exception (Nfsg_rpc.Xdr.Dec.Error _ | Nfsg_rpc.Xdr.Decode_error _) -> empty_reply Rpc.Garbage_args
+    | args -> (
+        (match Svc.journey_of tr with
+        | Some j ->
+            let payload =
+              match args with
+              | Proto.Write { data; _ } | Proto.Write3 { data; _ } -> Nfsg_rpc.Xdr.view_length data
+              | Proto.Read { count; _ } -> count
+              | _ -> 0
+            in
+            Nfsg_stats.Journey.set_op j ~proc:(Proto.proc_name proc) ~bytes:payload
+        | None -> ());
+        match primary_fh args with
+        | None ->
+            count_op t proc;
+            encode t;
+            reply Proto.RNull
+        | Some fh -> resolve t ~proc fh (fun vol v -> serve t tr ~proc vol v args))
+  end
+
+(* Metrics namespaces of volume [fsid] in a table of [n]. A server of
+   one volume is that volume: its planes are the server's own. In a
+   table of several, each volume's planes carry its fsid, so gather
+   batches and op mixes of two exports never share a counter. *)
+let namespaces ~n fsid =
+  let open Nfsg_stats.Names.Ns in
+  if n = 1 then (server, write_layer, read_plane)
+  else (server_vol fsid, write_layer_vol fsid, read_plane_vol fsid)
+
+(* The assembly shared by the fresh-format and recovery paths. [vols]
+   carries, per export, its spec and the vgen to preserve ([None]
+   formats the volume afresh); [verf] is the boot count. *)
+let boot eng ~segment ~addr ?trace ?metrics ~verf config vols =
   let metrics = match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -531,11 +432,12 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
     | Some svc -> Svc.send_reply svc tr Rpc.Success (Proto.res_body res)
     | None -> assert false
   in
+  let n = List.length vols in
   let volumes =
     List.mapi
-      (fun i (spec, vgen, mkfs) ->
-        Volume.mount eng ~fsid:(i + 1) ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply
-          ?trace ~metrics ~mkfs ~wl_config:config.write_layer spec)
+      (fun i (spec, vgen) ->
+        Volume.mount eng ~fsid:(i + 1) ?vgen ~ns:(namespaces ~n (i + 1)) ~sock ~cpu ~costs
+          ~send_reply ?trace ~metrics ~wl_config:config.write_layer spec)
       vols
   in
   let journeys =
@@ -550,7 +452,6 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
       config;
       addr;
       volumes;
-      legacy_ns;
       sock;
       cpu;
       verf;
@@ -580,26 +481,9 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~verf config vol
   svc_ref := Some svc;
   t
 
-let make_exports eng ~segment ~addr ?trace ?metrics ?(mkfs = true) config specs =
-  if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~verf:1 config
-    (List.map (fun spec -> (spec, None, mkfs)) specs)
-
-(* The historical single-volume constructor, kept as the 1-volume
-   special case with its historical metrics namespaces. *)
-let make eng ~segment ~addr ~device ?trace ?metrics ?(mkfs = true) config =
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~verf:1 config
-    [
-      ( {
-          Volume.export = "/export";
-          device;
-          cache_blocks = config.cache_blocks;
-          read_only = false;
-          readahead = config.readahead;
-        },
-        None,
-        mkfs );
-    ]
+let make eng ~segment ~addr ?trace ?metrics config specs =
+  if specs = [] then invalid_arg "Server.make: need at least one volume";
+  boot eng ~segment ~addr ?trace ?metrics ~verf:1 config (List.map (fun s -> (s, None)) specs)
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. The
@@ -609,7 +493,7 @@ let crash t =
   Option.iter Dupcache.clear t.dupcache;
   List.iter Volume.crash t.volumes
 
-let recover t =
+let restart t =
   (* Every device recovers (NVRAM replay where fitted), every volume
      remounts fsck-style from stable storage; the volume generations
      are preserved — a reboot does not invalidate client handles — and
@@ -617,8 +501,6 @@ let recover t =
   List.iter (fun v -> (Volume.device v).Nfsg_disk.Device.recover ()) t.volumes;
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
-  make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
-    ~legacy_ns:t.legacy_ns ~verf:(t.verf + 1) t.config
-    (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v), false)) t.volumes)
-
-let restart = recover
+  boot t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
+    ~verf:(t.verf + 1) t.config
+    (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v))) t.volumes)

@@ -3,12 +3,12 @@
     NVRAM-accelerated and/or striped) with its own filesystem, buffer
     cache, and write-gathering plane.
 
-    Single-volume use: create a device, run {!make} over it, and point
-    NFS clients at [addr] on the same segment. Multi-volume use: pass
-    {!make_exports} a list of {!Volume.spec}s; dispatch routes each
-    filehandle to its volume by fsid, unknown or pre-reformat handles
-    earn [NFSERR_STALE], and cross-volume renames earn
-    [NFSERR_XDEV]. *)
+    {!make} over a list of {!Volume.spec}s is the only constructor;
+    point NFS clients at [addr] on the same segment. Dispatch routes
+    each filehandle to its volume by fsid, unknown or pre-reformat
+    handles earn [NFSERR_STALE], and cross-volume renames earn
+    [NFSERR_XDEV]. Every procedure resolves its handle the same way
+    and answers a filesystem error in its own result shape. *)
 
 type config = {
   nfsds : int;
@@ -16,11 +16,6 @@ type config = {
   costs : Cpu_model.t;
   dupcache : bool;
   rcvbuf : int;  (** server socket buffer (DEC OSF/1: 256 KiB max) *)
-  cache_blocks : int option;  (** buffer-cache bound; None = plenty of RAM *)
-  readahead : Nfsg_ufs.Buffer_cache.readahead option;
-      (** sequential prefetch policy for the single-volume {!make}
-          constructor; [None] = read-ahead off. Multi-volume exports
-          carry the policy in their {!Volume.spec} instead *)
   long_op_threshold : Nfsg_sim.Time.t option;
       (** ops slower end-to-end than this emit a long-op record into the
           journey plane's ring; [None] disables long-op tracing (journey
@@ -36,44 +31,27 @@ val make :
   Nfsg_sim.Engine.t ->
   segment:Nfsg_net.Segment.t ->
   addr:string ->
-  device:Nfsg_disk.Device.t ->
   ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
-  config ->
-  t
-(** Formats the device (unless [mkfs:false]), mounts, attaches the
-    socket, spawns the nfsds. [metrics] is the registry every layer of
-    this server registers its instruments in (namespaces ["server"],
-    ["write_layer"], ["rpc.svc"], ["rpc.dupcache"]); {!recover} passes
-    the same registry to the next incarnation so counts accumulate
-    across restarts (private registry when omitted).
-
-    Equivalent to a 1-volume {!make_exports}, except the metrics keep
-    the historical single-volume namespaces. *)
-
-val make_exports :
-  Nfsg_sim.Engine.t ->
-  segment:Nfsg_net.Segment.t ->
-  addr:string ->
-  ?trace:Nfsg_stats.Trace.t ->
-  ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
   config ->
   Volume.spec list ->
   t
-(** Multi-volume server over an export table (nonempty, else
-    [Invalid_argument]). Volume [i] gets fsid [i+1] and registers its
-    instruments under namespaces [server.vol<fsid>] and
-    [write_layer.vol<fsid>], so per-volume gather batches and op mixes
-    never share a counter. All volumes share the socket, nfsd pool,
-    duplicate cache, CPU, and write verifier. *)
+(** Formats and mounts every volume of the export table (nonempty,
+    else [Invalid_argument]), attaches the socket, spawns the nfsds.
+    Volume [i] gets fsid [i+1]. All volumes share the socket, nfsd
+    pool, duplicate cache, CPU, and write verifier.
+
+    [metrics] is the registry every layer of this server registers its
+    instruments in (["rpc.svc"], ["rpc.dupcache"], ["journey"]; private
+    registry when omitted); {!restart} passes the same registry to the
+    next incarnation so counts accumulate across restarts. A table of
+    one volume registers its planes under ["server"], ["write_layer"]
+    and ["read_plane"]; a table of several under [server.vol<fsid>],
+    [write_layer.vol<fsid>] and [read_plane.vol<fsid>], and counts
+    every op under ["server"] as well. *)
 
 val volumes : t -> Volume.t list
 (** The export table, fsid order. *)
-
-val volume : t -> int -> Volume.t
-(** Volume by fsid; raises [Invalid_argument] for an unknown fsid. *)
 
 val exports : t -> (string * Nfsg_nfs.Proto.fh) list
 (** [(export name, root filehandle)] per volume — what the MOUNT
@@ -83,25 +61,21 @@ val root_fh : t -> Nfsg_nfs.Proto.fh
 (** Root handle of the first volume. *)
 
 val fs : t -> Nfsg_ufs.Fs.t
-(** First volume's filesystem (the only one, for {!make} servers). *)
+(** First volume's filesystem. *)
 
 val cpu : t -> Nfsg_sim.Resource.t
-
-val device : t -> Nfsg_disk.Device.t
-(** First volume's device. *)
 
 val write_layer : t -> Write_layer.t
 (** First volume's write layer. *)
 
 val socket : t -> Nfsg_net.Socket.t
-val addr : t -> string
 
 val write_verifier : t -> int
 (** The NFSv3 write verifier of this server incarnation: its boot count
-    in its lineage, 1 for a server from {!make} or {!make_exports} and
-    one more for each {!recover}. A change is how v3 clients learn that
-    uncommitted data may have been lost. Worlds are independent, so two
-    fresh servers report the same verifier. *)
+    in its lineage, 1 for a server from {!make} and one more for each
+    {!restart}. A change is how v3 clients learn that uncommitted data
+    may have been lost. Worlds are independent, so two fresh servers
+    report the same verifier. *)
 
 val dupcache : t -> Nfsg_rpc.Dupcache.t option
 (** This incarnation's duplicate request cache ([None] when the config
@@ -109,8 +83,6 @@ val dupcache : t -> Nfsg_rpc.Dupcache.t option
 
 val op_count : t -> int -> int
 (** Completed requests for an NFS procedure number. *)
-
-val total_ops : t -> int
 
 val metrics : t -> Nfsg_stats.Metrics.t
 (** The registry this server's layers report into (per-procedure
@@ -127,7 +99,7 @@ val crash : t -> unit
     nothing more; the duplicate request cache is emptied. The device
     survives (platter + NVRAM). *)
 
-val recover : t -> t
+val restart : t -> t
 (** Reboot after {!crash}: per-volume device recovery (NVRAM replay)
     and fsck-style remount, fresh daemons, same network address (the
     crashed incarnation left the wire), one shared write-verifier bump.
@@ -135,7 +107,3 @@ val recover : t -> t
     crash stay valid; clients that keep retransmitting ride through
     the outage: their RPCs go unanswered while the server is down and
     are answered by the new incarnation. *)
-
-val restart : t -> t
-(** Alias for {!recover} — the crash/restart pair used by the fault
-    rig. *)

@@ -30,44 +30,26 @@ type t = {
 (* nfslint: allow S001 vgen uniqueness is process-wide by design: resetting it would let a reformatted volume reuse a live generation and defeat NFSERR_STALE detection *)
 let generation_counter = ref 0
 
-let server_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.server else Nfsg_stats.Names.Ns.server_vol fsid
-
-let write_layer_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.write_layer else Nfsg_stats.Names.Ns.write_layer_vol fsid
-
-let read_plane_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
-
-let mount eng ~fsid ?vgen ?(legacy_ns = false) ~sock ~cpu ~costs ~send_reply
-    ?trace ?metrics ?(mkfs = true) ~wl_config spec =
+let mount eng ~fsid ?vgen ~ns:(server_ns, write_layer_ns, read_plane_ns) ~sock ~cpu ~costs
+    ~send_reply ?trace ~metrics ~wl_config spec =
+  (* A fresh generation is a fresh format; a preserved one remounts. *)
   let vgen =
     match vgen with
     | Some g -> g
     | None ->
         incr generation_counter;
+        Fs.mkfs spec.device ();
         !generation_counter
   in
-  if mkfs then Fs.mkfs spec.device ();
   let fs =
-    Fs.mount eng ?cache_blocks:spec.cache_blocks ?metrics
-      ~ns:(read_plane_ns_of ~legacy_ns fsid)
+    Fs.mount eng ?cache_blocks:spec.cache_blocks ~metrics ~ns:read_plane_ns
       ?readahead:spec.readahead spec.device
   in
   let wl =
-    Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ?metrics
-      ~ns:(write_layer_ns_of ~legacy_ns fsid)
+    Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ~metrics ~ns:write_layer_ns
       ~fsid wl_config
   in
-  {
-    spec;
-    fsid;
-    vgen;
-    fs;
-    wl;
-    server_ns = server_ns_of ~legacy_ns fsid;
-    read_only = spec.read_only;
-  }
+  { spec; fsid; vgen; fs; wl; server_ns; read_only = spec.read_only }
 
 let export t = t.spec.export
 let fsid t = t.fsid

@@ -32,29 +32,29 @@ val mount :
   Nfsg_sim.Engine.t ->
   fsid:int ->
   ?vgen:int ->
-  ?legacy_ns:bool ->
+  ns:string * string * string ->
   sock:Nfsg_net.Socket.t ->
   cpu:Nfsg_sim.Resource.t ->
   costs:Cpu_model.t ->
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
   ?trace:Nfsg_stats.Trace.t ->
-  ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
+  metrics:Nfsg_stats.Metrics.t ->
   wl_config:Write_layer.config ->
   spec ->
   t
-(** Formats (unless [mkfs:false]) and mounts the device, and builds
-    the volume's write layer on the shared server socket/CPU.
+(** Mounts the device and builds the volume's write layer on the
+    shared server socket/CPU.
 
-    [vgen] is the volume generation: omitted, a fresh one is drawn
-    from a process-global counter (a freshly formatted or replaced
-    volume invalidates all old handles); the recovery path passes the
-    previous incarnation's value so client handles survive a reboot.
+    [vgen] is the volume generation: omitted, the device is formatted
+    and a fresh generation is drawn from a process-global counter (a
+    freshly formatted or replaced volume invalidates all old handles);
+    the recovery path passes the previous incarnation's value, and the
+    filesystem is remounted as it is, so client handles survive a
+    reboot.
 
-    Metrics namespaces are [server.vol<fsid>] / [write_layer.vol<fsid>]
-    / [read_plane.vol<fsid>] unless [legacy_ns] is set, in which case
-    the single-volume server's historical ["server"] /
-    ["write_layer"] / ["read_plane"] names are kept. *)
+    [ns] names the volume's metrics namespaces: its per-procedure op
+    counters, its write layer and its read plane, in that order (the
+    server decides them). *)
 
 val export : t -> string
 val fsid : t -> int
@@ -88,5 +88,5 @@ val owns : t -> Nfsg_nfs.Proto.fh -> bool
 
 val crash : t -> unit
 (** Drop volatile filesystem state and crash the device (power fail);
-    the platter and any NVRAM contents survive for {!mount} with
-    [mkfs:false] to recover. *)
+    the platter and any NVRAM contents survive for {!mount} with the
+    same [vgen] to recover. *)

@@ -92,9 +92,7 @@ type t = {
   reply_latency_us : Histogram.t;
 }
 
-let create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ?metrics
-    ?(ns = Names.Ns.write_layer) ?(fsid = 1) cfg =
-  let m = match metrics with Some m -> m | None -> Metrics.create () in
+let create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ~metrics:m ~ns ~fsid cfg =
   {
     eng;
     fs;
@@ -127,7 +125,6 @@ let gathered_replies t = Metrics.value t.gathered
 let procrastinations t = Metrics.value t.procrastinations
 let procrastinate_failures t = Metrics.value t.procrastinate_failures
 let mbuf_hits t = Metrics.value t.mbuf_hits
-let rescues t = Metrics.value t.rescues
 let flush_failures t = Metrics.value t.flush_failures
 
 let mean_batch_size t =
@@ -163,9 +160,11 @@ let learned_solo_clients t =
 
 let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name t.eng) event | None -> ()
 
-let fattr_of_vnode t v =
+(* The one place the server builds NFS attributes: [t] is the
+   volume's plane, so the block size and fsid are the volume's. *)
+let fattr t v =
   let a = Vfs.vop_getattr v in
-  let bsize = 8192 in
+  let bsize = Fs.bsize t.fs in
   {
     Proto.ftype =
       (match a.Fs.ftype with
@@ -224,9 +223,9 @@ let reply_ok t d attr =
   Resource.use t.cpu t.costs.Cpu_model.rpc_encode;
   t.send_reply d.tr (d.respond attr)
 
-let reply_err t d status =
+let reply_fail t tr fail status =
   Resource.use t.cpu t.costs.Cpu_model.rpc_encode;
-  t.send_reply d.tr (d.fail status)
+  t.send_reply tr (fail status)
 
 (* Flush the gathered batch: data (if delayed), one metadata update,
    then every pending reply — FIFO, all with the same mtime. A disk
@@ -293,7 +292,7 @@ let flush_as_metadata_writer t g =
      with
     | () ->
         List.iter (fun (d : descriptor) -> jstamp t d.tr Journey.stamp_disk_complete) ordered;
-        let attr = fattr_of_vnode t g.vnode in
+        let attr = fattr t g.vnode in
         if n > 0 then emit t (Printf.sprintf "%d Write Repl%s" n (if n = 1 then "y" else "ies"));
         List.iter (fun d -> reply_ok t d attr) ordered;
         if t.cfg.learn_clients then
@@ -313,7 +312,7 @@ let flush_as_metadata_writer t g =
         Metrics.incr t.flush_failures;
         emit t
           (Printf.sprintf "Flush failed: %d NFSERR_IO Repl%s" n (if n = 1 then "y" else "ies"));
-        List.iter (fun d -> reply_err t d Proto.NFSERR_IO) ordered);
+        List.iter (fun d -> reply_fail t d.tr d.fail Proto.NFSERR_IO) ordered);
     (* Writes that arrived while we were flushing: if no OTHER nfsd is
        active to pick them up (we ourselves still count in g.active
        when called from handle_gathering), we stay metadata writer for
@@ -336,10 +335,6 @@ let maybe_gc t g =
 let v2_respond a = Proto.RAttr (Ok a)
 let v2_fail st = Proto.RAttr (Error st)
 
-let reply_fail t tr fail status =
-  Resource.use t.cpu t.costs.Cpu_model.rpc_encode;
-  t.send_reply tr (fail status)
-
 (* Standard (reference port) path: everything synchronous under the
    vnode lock, reply sent by the same nfsd that did the work. *)
 let handle_standard t tr ~respond ~fail vnode ~off ~data =
@@ -360,7 +355,7 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
       Metrics.incr t.batches;
       Metrics.incr t.gathered;
       Histogram.add t.batch_size_h 1.0;
-      let attr = fattr_of_vnode t vnode in
+      let attr = fattr t vnode in
       Resource.use t.cpu t.costs.Cpu_model.rpc_encode;
       emit t "Write Reply";
       t.send_reply tr (respond attr)
@@ -495,7 +490,7 @@ let handle_unsafe_async t tr ~respond ~fail vnode ~off ~data =
       Metrics.incr t.batches;
       Metrics.incr t.gathered;
       Histogram.add t.batch_size_h 1.0;
-      let attr = fattr_of_vnode t vnode in
+      let attr = fattr t vnode in
       Resource.use t.cpu t.costs.Cpu_model.rpc_encode;
       emit t "Write Reply (volatile!)";
       t.send_reply tr (respond attr)

@@ -69,19 +69,22 @@ val create :
   costs:Cpu_model.t ->
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
   ?trace:Nfsg_stats.Trace.t ->
-  ?metrics:Nfsg_stats.Metrics.t ->
-  ?ns:string ->
-  ?fsid:int ->
+  metrics:Nfsg_stats.Metrics.t ->
+  ns:string ->
+  fsid:int ->
   config ->
   t
 (** [metrics] registers the layer's instruments under namespace [ns]
-    (default ["write_layer"]; a multi-volume server passes
-    ["write_layer.vol<fsid>"] per volume): the counters exposed by the
-    accessors below plus [metadata_flushes_saved], the gather
-    [batch_size] histogram and the deferred-reply latency histogram
-    [reply_latency_us] (private registry when omitted). [fsid] (default
-    1) is stamped into reply attributes and constrains the mbuf hunter
-    to WRITEs for this volume. *)
+    (["write_layer"], or ["write_layer.vol<fsid>"] for one volume of
+    several): the counters exposed by the accessors below plus
+    [metadata_flushes_saved] and [rescues], the gather [batch_size]
+    histogram and the deferred-reply latency histogram
+    [reply_latency_us]. [fsid] is stamped into reply attributes and
+    constrains the mbuf hunter to WRITEs for this volume. *)
+
+val fattr : t -> Nfsg_ufs.Vfs.vnode -> Nfsg_nfs.Proto.fattr
+(** NFS attributes of a vnode on this layer's volume: its block size
+    and fsid. *)
 
 val handle_write :
   t ->
@@ -123,7 +126,6 @@ val procrastinate_failures : t -> int
     single write — the dumb-PC worst case. *)
 
 val mbuf_hits : t -> int
-val rescues : t -> int
 
 val flush_failures : t -> int
 (** Gathered batches whose data/metadata flush hit a disk error; every

@@ -1082,6 +1082,7 @@ let rebuild ?(pace = Time.of_ms_f 1.0) { core = t; _ } ~member =
               ~crashed:(fun () -> `Stop)
               (fun () ->
                 let moff = row * t.chunk in
+                (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
                 let copy i = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
                 let content =
                   match t.lvl with
@@ -1090,12 +1091,10 @@ let rebuild ?(pace = Time.of_ms_f 1.0) { core = t; _ } ~member =
                       Array.iteri
                         (fun i s -> if !src = None && i <> member && s = Active then src := Some i)
                         t.state;
-                      (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
                       Option.bind !src copy
                   | Raid5 | Raid0 ->
                       (* XOR of every other member's chunk reconstructs this
                          one whether it held data or parity. *)
-                      (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
                       peer_xor t ~skip:member ~len:t.chunk copy
                 in
                 match content with

@@ -129,21 +129,18 @@ let make ?seed ?storage ?metrics spec =
       Server.nfsds = spec.nfsds;
       write_layer;
       costs;
-      cache_blocks = spec.cache_blocks;
-      readahead = spec.readahead;
       long_op_threshold = spec.long_op_threshold;
     }
   in
+  let export v =
+    match storage.exports with [ _ ] -> "/export" | _ -> Printf.sprintf "/export%d" v
+  in
   let server =
-    match storage.exports with
-    | [ device ] -> Server.make eng ~segment ~addr:"server" ~device ?trace ~metrics config
-    | devices ->
-        Server.make_exports eng ~segment ~addr:"server" ?trace ~metrics config
-          (List.mapi
-             (fun v device ->
-               Volume.spec ?cache_blocks:spec.cache_blocks ?readahead:spec.readahead
-                 (Printf.sprintf "/export%d" v) device)
-             devices)
+    Server.make eng ~segment ~addr:"server" ?trace ~metrics config
+      (List.mapi
+         (fun v device ->
+           Volume.spec ?cache_blocks:spec.cache_blocks ?readahead:spec.readahead (export v) device)
+         storage.exports)
   in
   (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
   { spec; eng; segment; disks = storage.raw; server; trace; metrics }

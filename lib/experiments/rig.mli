@@ -17,8 +17,8 @@ type env = {
 type storage = {
   raw : Nfsg_disk.Device.t array;  (** the spindles; {!spindle_stats} sums these *)
   exports : Nfsg_disk.Device.t list;
-      (** one device per export: one goes through [Server.make];
-          several through [Server.make_exports] as "/export0".. *)
+      (** one device per export, served by one [Server.make]: a lone
+          export as "/export", several as "/export0", "/export1", .. *)
 }
 
 type spec = {

@@ -47,6 +47,7 @@ type wctx = {
   diags : Diagnostic.t list ref;
   mutable raises : (st * Location.t) list;
       (** states at raise-capable sites that escape the innermost handler scope *)
+  visiting : string list;  (** local closures being walked under a caller's locks *)
 }
 
 let line (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
@@ -437,18 +438,7 @@ and walk_apply ctx env st loc fn args =
                         (* function arguments passed by name to a
                            higher-order callee may run inside it *)
                         if (not deferred) && st.held <> [] then
-                          List.iter
-                            (fun (_, a) ->
-                              match a.pexp_desc with
-                              | Pexp_ident _ -> (
-                                  match Cg.rawcallee_of env a with
-                                  | Some r ->
-                                      let c = Cg.resolve ctx.t ctx.file r in
-                                      if Cg.callee_eff ctx.t c = Cg.Park then
-                                        emit_y001 ctx a.pexp_loc st c
-                                  | None -> ())
-                              | _ -> ())
-                            args;
+                          List.iter (fun (_, a) -> charge_by_name ctx env st a) args;
                         let callee = Cg.resolve ctx.t ctx.file raw in
                         let eff = Cg.callee_eff ctx.t callee in
                         let st =
@@ -474,6 +464,46 @@ and emit_y001 ctx loc st callee =
            tok.family (show_fp tok.fp) tok.line
            (Cg.chain_of_callee ctx.t callee))
 
+(* A parking function passed by name while a lock is held. A named
+   local closure is walked under the caller's locks, so the Y001 lands
+   on the blocking call inside it, once however often the closure is
+   passed, where its suppression can sit. Anything else, or a closure
+   whose walk finds no blocking call (its effect is annotated), is
+   reported where it is passed. *)
+and charge_by_name ctx env st a =
+  match a.pexp_desc with
+  | Pexp_ident _ -> (
+      match Cg.rawcallee_of env a with
+      | Some r ->
+          let c = Cg.resolve ctx.t ctx.file r in
+          if Cg.callee_eff ctx.t c = Cg.Park && not (walk_local_under ctx st r) then
+            emit_y001 ctx a.pexp_loc st c
+      | None -> ())
+  | _ -> ()
+
+and walk_local_under ctx st = function
+  | Cg.Rlocal key when not (List.mem key ctx.visiting) -> (
+      match Hashtbl.find_opt ctx.t.Cg.by_key key with
+      | None -> false
+      | Some node ->
+          let diags = ref [] in
+          let sub =
+            { ctx with node_key = key; diags; raises = []; visiting = key :: ctx.visiting }
+          in
+          ignore (walk_body sub node { held = st.held; pend = [] });
+          (* Lock balance and torn reads are the closure's own walk's
+             business; only the yields under the caller's locks count. *)
+          let y001 = List.filter (fun (d : Diagnostic.t) -> d.rule = "Y001") !diags in
+          ctx.diags := y001 @ !(ctx.diags);
+          y001 <> [])
+  | _ -> false
+
+and walk_body ctx node entry =
+  match node.Cg.body.pexp_desc with
+  | Pexp_function cases ->
+      join ctx entry (List.map (fun c -> walk ctx node.Cg.env entry c.pc_rhs) cases)
+  | _ -> walk ctx node.Cg.env entry node.Cg.body
+
 and walk_scoped ctx env st loc args family =
   let st = walk_args_nonfn ctx env st args in
   let fp = fingerprint args in
@@ -486,17 +516,7 @@ and walk_scoped ctx env st loc args family =
     match fn_args with
     | [] ->
         (* closure passed by name: charge its effect under the lock *)
-        List.iter
-          (fun (_, a) ->
-            match a.pexp_desc with
-            | Pexp_ident _ -> (
-                match Cg.rawcallee_of env a with
-                | Some r ->
-                    let c = Cg.resolve ctx.t ctx.file r in
-                    if Cg.callee_eff ctx.t c = Cg.Park then emit_y001 ctx a.pexp_loc entry c
-                | None -> ())
-            | _ -> ())
-          args;
+        List.iter (fun (_, a) -> charge_by_name ctx env entry a) args;
         entry
     | lams -> List.fold_left (fun st (_, lam) -> walk_lambda_body ctx env st lam) entry lams
   in
@@ -573,16 +593,10 @@ let walk_node t file diags node =
       node_key = node.Cg.key;
       diags;
       raises = [];
+      visiting = [ node.Cg.key ];
     }
   in
-  let entry = { held = []; pend = [] } in
-  let out, terminal =
-    match node.Cg.body.pexp_desc with
-    | Pexp_function cases ->
-        let outs = List.map (fun c -> walk ctx node.Cg.env entry c.pc_rhs) cases in
-        join ctx entry outs
-    | _ -> walk ctx node.Cg.env entry node.Cg.body
-  in
+  let out, terminal = walk_body ctx node { held = []; pend = [] } in
   if not terminal then
     List.iter
       (fun tok ->

@@ -24,8 +24,8 @@ module Ns = struct
   let nvram name = "nvram." ^ name
   let raid name = "raid." ^ name
 
-  (* Multi-volume planes; the 1-volume legacy server keeps the plain
-     [server]/[write_layer] namespaces (see Volume.mount). *)
+  (* Multi-volume planes; a one-volume server keeps the plain
+     [server]/[write_layer] namespaces (see Server.make). *)
   let server_vol fsid = Printf.sprintf "server.vol%d" fsid
   let write_layer_vol fsid = Printf.sprintf "write_layer.vol%d" fsid
 

@@ -31,7 +31,7 @@ module Ns : sig
   (** [write_layer_vol k] is ["write_layer.vol<k>"]. *)
 
   val read_plane : string
-  (** Buffer-cache and read-ahead accounting (legacy 1-volume server). *)
+  (** Buffer-cache and read-ahead accounting (a one-volume server). *)
 
   val read_plane_vol : int -> string
   (** [read_plane_vol k] is ["read_plane.vol<k>"]. *)

@@ -75,7 +75,7 @@ let test_nospc_surfaces_at_close () =
   let segment = Segment.create eng Segment.fddi in
   let small_geom = { (Disk.rz26 ~capacity:(2 * 1024 * 1024) ()) with Disk.track_bytes = 256 * 1024 } in
   let device = Disk.create eng small_geom in
-  let server = Server.make eng ~segment ~addr:"server" ~device cfg in
+  let server = Server.make eng ~segment ~addr:"server" cfg [ Volume.spec "/export" device ] in
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
   let client = Client.create eng ~rpc ~biods:4 () in

@@ -17,7 +17,7 @@ let run_crash_scenario ~crash_ms ~config ~accel =
   let segment = Segment.create eng Segment.fddi in
   let disk = Disk.create eng disk_geometry in
   let device = if accel then Nvram.create eng disk else disk in
-  let server = Server.make eng ~segment ~addr:"server" ~device config in
+  let server = Server.make eng ~segment ~addr:"server" config [ Volume.spec "/export" device ] in
   let sock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock ~server:"server" () in
   let acked : (int, int) Hashtbl.t = Hashtbl.create 64 in

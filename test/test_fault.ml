@@ -196,12 +196,14 @@ let test_nvram_flusher_rides_through () =
 (* {1 End-to-end error propagation} *)
 
 (* A rig whose disk sits behind a fault injector. *)
-let make_fault_rig ?(config = Server.default_config) () =
+let make_fault_rig ?(config = Server.default_config) ?cache_blocks () =
   let eng = Engine.create () in
   let segment = Segment.create eng Segment.fddi in
   let disk = Disk.create eng disk_geometry in
   let inj, faulty = Fault_disk.wrap eng disk in
-  let server = Server.make eng ~segment ~addr:"server" ~device:faulty config in
+  let server =
+    Server.make eng ~segment ~addr:"server" config [ Volume.spec ?cache_blocks "/export" faulty ]
+  in
   (eng, segment, inj, server)
 
 let raw_rpc eng segment addr =
@@ -243,6 +245,52 @@ let test_write_io_error_propagates () =
       | _ -> Alcotest.fail "read after retry failed");
   Engine.run eng;
   Alcotest.(check int) "one error injected" 1 (Fault_disk.errors_injected inj)
+
+let test_resolution_error_in_result_shape () =
+  (* A handle whose inode must be read from a failing disk: every
+     procedure answers NFSERR_IO in its own result shape, the WRITE
+     family included, and none of them becomes an RPC-level error. *)
+  let eng, segment, inj, server = make_fault_rig ~cache_blocks:64 () in
+  let server = ref server in
+  Engine.spawn eng ~name:"driver" (fun () ->
+      let rpc = raw_rpc eng segment "client" in
+      let root = Server.root_fh !server in
+      let fh = create_file rpc root "f" in
+      let big = create_file rpc root "big" in
+      let block = Nfsg_rpc.Xdr.view_of_bytes (Bytes.make 8192 'b') in
+      for i = 0 to 399 do
+        ignore (call_res rpc ~proc:Proto.proc_write (Proto.Write { fh = big; offset = i * 8192; data = block }))
+      done;
+      (* A reboot drops the in-core inodes; streaming [big] back through
+         the small cache then evicts the inode-table block of [f]. *)
+      Server.crash !server;
+      server := Server.restart !server;
+      for i = 0 to 399 do
+        ignore (call_res rpc ~proc:Proto.proc_read (Proto.Read { fh = big; offset = i * 8192; count = 8192 }))
+      done;
+      Fault_disk.fail_class ~n:100 inj `Read;
+      let data = Nfsg_rpc.Xdr.view_of_bytes (Bytes.make 8192 'f') in
+      (match call_res rpc ~proc:Proto.proc_getattr (Proto.Getattr fh) with
+      | Proto.RAttr (Error Proto.NFSERR_IO) -> ()
+      | _ -> Alcotest.fail "GETATTR: expected NFSERR_IO");
+      (match call_res rpc ~proc:Proto.proc_write (Proto.Write { fh; offset = 0; data }) with
+      | Proto.RAttr (Error Proto.NFSERR_IO) -> ()
+      | _ -> Alcotest.fail "WRITE: expected NFSERR_IO");
+      (match
+         call_res rpc ~proc:Proto.proc_write3
+           (Proto.Write3 { fh; offset = 0; stable = Proto.File_sync; data })
+       with
+      | Proto.RWrite3 (Error Proto.NFSERR_IO) -> ()
+      | _ -> Alcotest.fail "WRITE3: expected NFSERR_IO");
+      match call_res rpc ~proc:Proto.proc_commit (Proto.Commit { fh; offset = 0; count = 0 }) with
+      | Proto.RCommit (Error Proto.NFSERR_IO) -> ()
+      | _ -> Alcotest.fail "COMMIT: expected NFSERR_IO");
+  Engine.run eng;
+  Alcotest.(check bool) "the inode reads hit the armed fault" true (Fault_disk.errors_injected inj >= 4);
+  Alcotest.(check (option int))
+    "no dispatch error" (Some 0)
+    (Nfsg_stats.Metrics.find_counter (Server.metrics !server) ~ns:Nfsg_stats.Names.Ns.rpc_svc
+       Nfsg_stats.Names.dispatch_errors)
 
 let test_gathered_batch_fails_together () =
   (* Two clients' writes gather into one batch; the batch's metadata
@@ -291,7 +339,7 @@ let test_dupcache_replay_under_loss () =
     let eng = Engine.create () in
     let segment = Segment.create eng ~seed:0xbad Segment.fddi in
     let disk = Disk.create eng disk_geometry in
-    let server = Server.make eng ~segment ~addr:"server" ~device:disk config in
+    let server = Server.make eng ~segment ~addr:"server" config [ Volume.spec "/export" disk ] in
     let spurious = ref 0 and completed = ref 0 in
     let issued = 30 in
     let retrans = ref 0 in
@@ -457,6 +505,8 @@ let suite =
       test_nvram_flusher_rides_through;
     Alcotest.test_case "write error reaches the client." `Quick test_write_io_error_propagates;
     Alcotest.test_case "gathered batch fails together." `Quick test_gathered_batch_fails_together;
+    Alcotest.test_case "resolution errors answer in the result shape." `Quick
+      test_resolution_error_in_result_shape;
     Alcotest.test_case "dupcache replay under loss." `Quick test_dupcache_replay_under_loss;
     Alcotest.test_case "partition ride-through." `Quick test_partition_ride_through;
     Alcotest.test_case "crash/restart ride-through." `Quick test_crash_restart_ride_through;

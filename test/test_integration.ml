@@ -101,7 +101,9 @@ let test_packet_loss_end_to_end () =
   let eng = Engine.create () in
   let segment = Segment.create eng { Segment.fddi with Segment.loss_prob = 0.05 } in
   let disk = Nfsg_disk.Disk.create eng disk_geometry in
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk Server.default_config in
+  let server =
+    Server.make eng ~segment ~addr:"server" Server.default_config [ Volume.spec "/export" disk ]
+  in
   let sock = Socket.create segment ~addr:"client" () in
   let params = { Rpc_client.default_params with Rpc_client.initial_rto = Time.ms 200; min_rto = Time.ms 200 } in
   let rpc = Rpc_client.create eng ~sock ~server:"server" ~params () in
@@ -131,7 +133,9 @@ let test_duplicate_drop_rescue_no_orphans () =
   let eng = Engine.create () in
   let segment = Segment.create eng { Segment.fddi with Segment.loss_prob = 0.15 } in
   let disk = Nfsg_disk.Disk.create eng disk_geometry in
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk Server.default_config in
+  let server =
+    Server.make eng ~segment ~addr:"server" Server.default_config [ Volume.spec "/export" disk ]
+  in
   let sock = Socket.create segment ~addr:"client" () in
   let params =
     { Rpc_client.default_params with Rpc_client.initial_rto = Time.ms 150; min_rto = Time.ms 150; max_attempts = 60 }
@@ -168,7 +172,7 @@ let test_socket_overflow_recovers () =
       write_layer = Write_layer.standard;
     }
   in
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk config in
+  let server = Server.make eng ~segment ~addr:"server" config [ Volume.spec "/export" disk ] in
   let sock = Socket.create segment ~addr:"client" () in
   let params = { Rpc_client.default_params with Rpc_client.initial_rto = Time.ms 300; min_rto = Time.ms 300 } in
   let rpc = Rpc_client.create eng ~sock ~server:"server" ~params () in

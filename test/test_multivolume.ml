@@ -39,7 +39,7 @@ let make_world ?(vols = 2) ?(config = Server.default_config) () =
     Array.init vols (fun v ->
         Disk.create eng ~name:(Printf.sprintf "vol%d-rz26" (v + 1)) ~metrics Testbed.disk_geometry)
   in
-  let server = Server.make_exports eng ~segment ~addr:"server" ~metrics config (specs_over devices) in
+  let server = Server.make eng ~segment ~addr:"server" ~metrics config (specs_over devices) in
   let sock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock ~server:"server" () in
   let client = Client.create eng ~rpc ~biods:4 () in
@@ -105,14 +105,14 @@ let test_reboot_keeps_handles_reformat_stales_them () =
       (* Power-fail + reboot: volume generations are preserved, so the
          client's handle rides through. *)
       Server.crash w.server;
-      let server2 = Server.recover w.server in
+      let server2 = Server.restart w.server in
       let a = Client.getattr w.client fh in
       Alcotest.(check int) "handle survives reboot" (16 * 8192) a.Proto.size;
       (* Reformat: a fresh export table over the same platters draws
          new volume generations — every pre-format handle is dead. *)
       Server.crash server2;
       let server3 =
-        Server.make_exports w.eng ~segment:w.segment ~addr:"server" Server.default_config
+        Server.make w.eng ~segment:w.segment ~addr:"server" Server.default_config
           (specs_over w.devices)
       in
       (match Client.getattr w.client fh with
@@ -173,9 +173,35 @@ let test_per_volume_metrics_never_mix () =
   Alcotest.(check int) "idle vol3 has no batches" 0 (batches 3);
   Alcotest.(check int) "idle vol3 saved nothing" 0 (saved 3);
   Alcotest.(check int) "idle vol3 served no WRITEs" 0 (writes 3);
-  (* No legacy shared namespace on a multi-volume server. *)
+  (* No shared namespace on a multi-volume server. *)
   Alcotest.(check bool) "no shared write_layer namespace" true
     (Metrics.find_histogram m ~ns:"write_layer" "batch_size" = None)
+
+(* The namespace contract: a table of one volume registers its planes
+   under the plain names every single-disk artifact reads; a table of
+   several under the per-fsid names, with every op also counted under
+   "server". *)
+let test_namespace_contract () =
+  let planes vols =
+    let w = make_world ~vols () in
+    run w (fun () ->
+        List.iter (fun (_, root) -> ignore (Client.getattr w.client root)) (Server.exports w.server));
+    List.filter
+      (fun ns ->
+        List.exists
+          (fun p -> String.starts_with ~prefix:p ns)
+          [ "server"; "write_layer"; "read_plane" ])
+      (Metrics.namespaces w.metrics)
+  in
+  Alcotest.(check (list string))
+    "one volume" [ "read_plane"; "server"; "write_layer" ] (planes 1);
+  Alcotest.(check (list string))
+    "three volumes"
+    [
+      "read_plane.vol1"; "read_plane.vol2"; "read_plane.vol3"; "server"; "server.vol1";
+      "server.vol2"; "server.vol3"; "write_layer.vol1"; "write_layer.vol2"; "write_layer.vol3";
+    ]
+    (planes 3)
 
 let metrics_bytes () =
   let w = make_world ~vols:2 () in
@@ -258,4 +284,6 @@ let suite =
       test_export_assignment_distribution;
     Alcotest.test_case "3 volumes: independent gathering, isolated faults" `Slow
       test_multivolume_experiment;
+    Alcotest.test_case "one volume or several: the namespace contract" `Quick
+      test_namespace_contract;
   ]

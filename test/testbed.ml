@@ -9,6 +9,7 @@ module Nvram = Nfsg_disk.Nvram
 module Stripe = Nfsg_disk.Stripe
 module Device = Nfsg_disk.Device
 module Server = Nfsg_core.Server
+module Volume = Nfsg_core.Volume
 module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
 module Proto = Nfsg_nfs.Proto
@@ -39,7 +40,9 @@ let make ?(net = Segment.fddi) ?(accel = false) ?(spindles = 1) ?(biods = 4)
     if spindles = 1 then disks.(0) else Stripe.device (Stripe.create eng ~chunk:8192 disks)
   in
   let device = if accel then Nvram.create eng base else base in
-  let server = Server.make eng ~segment ~addr:"server" ~device ?trace config in
+  let server =
+    Server.make eng ~segment ~addr:"server" ?trace config [ Volume.spec "/export" device ]
+  in
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
   let client = Client.create eng ~rpc ~biods () in
